@@ -87,7 +87,6 @@ from .weights import (
     all_ones,
     indicator,
     kappa_to_k,
-    l1_norm,
     omega_level_weights,
     omega_tail_weights,
 )

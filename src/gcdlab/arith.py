@@ -81,8 +81,7 @@ def build_sieve(limit: int) -> FactorSieve:
             seg[seg == 0] = p
     untouched = np.nonzero(spf[2:] == 0)[0] + 2  # primes > sqrt(limit) and small primes
     spf[untouched] = untouched
-    if limit >= 1:
-        spf[1] = 1
+    spf[1] = 1
 
     omega = np.zeros(limit + 1, dtype=np.int64)
     for n in range(2, limit + 1):

@@ -26,6 +26,7 @@ __all__ = [
     "build_table",
     "char_sum",
     "all_char_sums",
+    "all_mollifiers",
     "weil_moment_check",
     "congruence_count",
     "weighted_congruence_count",
@@ -67,6 +68,17 @@ class CharacterTable:
 
     def nonprincipal(self):
         return (Character(self, a) for a in range(1, self.p - 1))
+
+    def transform(self, folded: np.ndarray) -> np.ndarray:
+        """Sum over n mod p of folded[n] chi_a(n), for every index a at once.
+
+        ``folded`` holds one value per residue 0..p-1; residue 0 drops out
+        (chi(0) = 0).  Scattering by dlog turns the family sum into one
+        length-(p-1) inverse FFT.
+        """
+        b = np.zeros(self.p - 1, dtype=np.complex128)
+        b[self.dlog[1:]] = folded[1:]
+        return (self.p - 1) * np.fft.ifft(b)
 
 
 @dataclass
@@ -146,11 +158,19 @@ def char_sum(chi: Character, m: int, n: int) -> complex:
 
 def all_char_sums(table: CharacterTable, m: int, n: int) -> np.ndarray:
     """S_chi(M, N) for every character index at once (FFT over dlog order)."""
+    return table.transform(_residue_counts(table.p, m, n))
+
+
+def all_mollifiers(table: CharacterTable, w: WeightVector) -> np.ndarray:
+    """M_chi = sum of w(m) conj(chi(m)) for every character index at once."""
     p = table.p
-    counts = _residue_counts(p, m, n).astype(np.complex128)
-    b = np.zeros(p - 1, dtype=np.complex128)
-    b[table.dlog[1:]] = counts[1:]
-    return (p - 1) * np.fft.ifft(b)
+    if w.limit >= p:
+        raise InvalidArgumentError("weight support must stay below p")
+    folded = np.zeros(p, dtype=np.float64)
+    supp = w.support
+    np.add.at(folded, supp % p, w.values[supp].astype(np.float64))
+    # conj turns the chi-sum into the conj(chi)-sum for real weights
+    return np.conj(table.transform(folded))
 
 
 def weil_moment_check(chi: Character, b_len: int, r: int) -> tuple[float, float]:

@@ -62,27 +62,44 @@ def _emit(rows: list[dict], fields: list[str], args, csv_headers: dict | None = 
         sys.stdout.write(text)
 
 
+def _spec_number(spec: str, convert):
+    """The number after the ':' of a weight spec, read with ``convert``."""
+    try:
+        value = convert(spec.split(":", 1)[1])
+    except ValueError:
+        raise InvalidArgumentError(f"weight spec {spec!r} needs a number after ':'") from None
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"weight spec {spec!r} needs a finite number")
+    return value
+
+
 def _parse_weights(spec: str, n: int, sieve) -> WeightVector:
     if spec == "ones":
         return all_ones(n)
     if spec == "tail":
         return omega_tail_weights(sieve, n)
     if spec.startswith("level:"):
-        return omega_level_weights(sieve, n, int(spec.split(":", 1)[1]))
+        return omega_level_weights(sieve, n, _spec_number(spec, int))
     if spec.startswith("level-kappa:"):
-        k = kappa_to_k(n, float(spec.split(":", 1)[1]))
+        k = kappa_to_k(n, _spec_number(spec, float))
         return omega_level_weights(sieve, n, k)
     if spec.startswith("indicator-file:"):
         path = spec.split(":", 1)[1]
         members = []
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                m, v = line.split(",")
-                if float(v) != 0:
-                    members.append(int(m))
+                try:
+                    m, v = line.split(",")
+                    m, v = int(m), float(v)
+                except ValueError:
+                    raise InvalidArgumentError(
+                        f"{path} line {lineno}: expected 'm,w(m)', got {line!r}"
+                    ) from None
+                if v != 0:
+                    members.append(m)
         return indicator(members, n)
     if spec == "optimal-qp":
         raise InvalidArgumentError("optimal-qp weights are produced by the gcdsum command only")
@@ -108,18 +125,21 @@ def _cmd_constants(args) -> None:
     _emit([row], list(row), args)
 
 
+def _dump_weights(args, w: WeightVector) -> None:
+    if args.dump_weights:
+        with open(args.dump_weights, "w") as fh:
+            fh.write("\n".join(w.csv_lines()) + "\n")
+
+
 def _cmd_gcdsum(args) -> None:
     kind = gcdsums.Kernel(args.kind)
     sieve = build_sieve(args.n)
     if args.weights == "optimal-qp":
-        w, ratio = gcdsums.exact_minimize(args.n, kind, tol=args.tol)
-        rep = gcdsums.normalized_ratio(w, kind, sieve, evaluator=args.evaluator)
+        w, _ = gcdsums.exact_minimize(args.n, kind, tol=args.tol)
     else:
         w = _parse_weights(args.weights, args.n, sieve)
-        rep = gcdsums.normalized_ratio(w, kind, sieve, evaluator=args.evaluator)
-    if args.dump_weights:
-        with open(args.dump_weights, "w") as fh:
-            fh.write("\n".join(w.csv_lines()) + "\n")
+    rep = gcdsums.normalized_ratio(w, kind, sieve, evaluator=args.evaluator)
+    _dump_weights(args, w)
     row = rep.as_dict()
     _emit([row], ["n", "kind", "weight_desc", "raw", "ratio", "seconds"], args,
           csv_headers={"n": "N"})
@@ -129,16 +149,16 @@ def _cmd_energy(args) -> None:
     sieve = build_sieve(args.n)
     w = _parse_weights(args.weights, args.n, sieve)
     rep = energy_mod.energy_ratio(w, evaluator=args.evaluator)
-    if args.dump_weights:
-        with open(args.dump_weights, "w") as fh:
-            fh.write("\n".join(w.csv_lines()) + "\n")
+    _dump_weights(args, w)
     _emit([rep.as_dict()], ["n", "weight_desc", "energy", "ratio", "evaluator", "seconds"],
           args, csv_headers={"n": "N"})
 
 
 def _cmd_multable(args) -> None:
     rows = []
-    if args.powers:
+    if args.powers is not None:
+        if args.powers < 1:
+            raise InvalidArgumentError("--powers must be >= 1")
         sizes = [2**e for e in range(1, args.powers + 1)]
     else:
         sizes = [args.n]
@@ -194,7 +214,7 @@ def _cmd_theta(args) -> None:
         "p", "x", "weight_desc", "m1_real", "m1_abs", "m2", "m4_direct",
         "m4_identity", "m0_count", "holder_slack", "threshold", "tail_bound", "seconds",
     ]
-    if args.scan:
+    if args.scan is not None:
         primes = [p for p in range(5, args.scan + 1) if is_prime(p)]
         tasks = [(p, args.x, args.weights, args.threshold) for p in primes]
         if args.jobs > 1:
@@ -370,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sp.add_parser("multable", help="distinct products count A(N) and density")
-    p.add_argument("--n", "--N", dest="n", type=int, default=None)
-    p.add_argument("--powers", type=int, default=None, help="scan N = 2, 4, ..., 2^POWERS")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--n", "--N", dest="n", type=int, default=None)
+    size.add_argument("--powers", type=int, default=None, help="scan N = 2, 4, ..., 2^POWERS")
     p.set_defaults(fn=_cmd_multable)
     _add_common(p)
 
@@ -393,11 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sp.add_parser("theta", help="mollified theta moments and non-vanishing count")
-    p.add_argument("--p", type=int)
+    moduli = p.add_mutually_exclusive_group(required=True)
+    moduli.add_argument("--p", type=int)
+    moduli.add_argument("--scan", type=int, default=None, help="emit one row per prime <= SCAN")
     p.add_argument("--x", type=float, default=1.0)
     p.add_argument("--weights", default="ones")
     p.add_argument("--threshold", type=float, default=1e-8)
-    p.add_argument("--scan", type=int, default=None, help="emit one row per prime <= SCAN")
     p.set_defaults(fn=_cmd_theta)
     _add_common(p)
 
@@ -423,6 +445,8 @@ def _apply_config(argv: list[str], ap: argparse.ArgumentParser) -> list[str]:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        ap.error("argument --config: expected one argument")
     path = argv[idx + 1]
     inject = []
     with open(path) as fh:

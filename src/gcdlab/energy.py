@@ -24,7 +24,7 @@ import numpy as np
 
 from .arith import FactorSieve
 from .errors import InvalidArgumentError, ResourceLimitError
-from .weights import WeightVector, omega_level_weights
+from .weights import WeightVector, omega_level_weights, sweep_levels
 
 __all__ = [
     "EnergyReport",
@@ -235,32 +235,20 @@ def minimize_energy_over_levels(n: int, sieve: FactorSieve) -> tuple[int, float]
     its paired-quadruple floor N**2 (2 l1**2 - l1) / l1**4 exceeds the best
     ratio found (strict, so ties survive).
     """
-    if n < 1 or n > sieve.limit:
-        raise InvalidArgumentError("need 1 <= N <= sieve.limit")
-    counts = np.bincount(sieve.omega[1 : n + 1])
-    order = sorted((k for k in range(len(counts)) if counts[k] > 0),
-                   key=lambda k: (-counts[k], k))
-    best_ratio, best_k = np.inf, -1
-    for k in order:
-        l1 = float(counts[k])
-        lower = n * n * (2.0 * l1 * l1 - l1) / l1**4
-        if lower > best_ratio:
-            continue
-        r = _level_energy_ratio(sieve, n, k, int(counts[k]))
-        if (r, k) < (best_ratio, best_k):
-            best_ratio, best_k = r, k
-    return best_k, best_ratio
+
+    def floor(k: int, size: int) -> float:
+        l1 = float(size)
+        return n * n * (2.0 * l1 * l1 - l1) / l1**4
+
+    ratio, k = min((r, k) for k, _, r in sweep_levels(
+        sieve, n, lambda k, size: _level_energy_ratio(sieve, n, k, size), floor=floor,
+    ))
+    return k, ratio
 
 
 def energy_sweep_table(n: int, sieve: FactorSieve) -> list[tuple[int, int, float]]:
     """(k, support size, energy ratio) for every nonempty level; no pruning."""
-    counts = np.bincount(sieve.omega[1 : n + 1])
-    out = []
-    for k in range(len(counts)):
-        if counts[k] == 0:
-            continue
-        out.append((k, int(counts[k]), _level_energy_ratio(sieve, n, k, int(counts[k]))))
-    return out
+    return sorted(sweep_levels(sieve, n, lambda k, size: _level_energy_ratio(sieve, n, k, size)))
 
 
 def _pair_histogram_sq(left: np.ndarray, right: np.ndarray) -> int:
@@ -291,10 +279,7 @@ def multiplication_table_count(n: int) -> int:
     """A(N) = number of distinct products a*b with a, b <= N."""
     if n < 1:
         raise InvalidArgumentError("need N >= 1")
-    if n <= 4096:
-        m = np.arange(1, n + 1, dtype=np.int64)
-        return int(len(np.unique(np.multiply.outer(m, m))))
-    # chunked mark-and-count over the value range [1, N^2]
+    # mark-and-count over the value range [1, N^2], one bitmap chunk at a time
     total = 0
     chunk = 1 << 24
     n2 = n * n

@@ -34,7 +34,6 @@ __all__ = [
     "VariationalConstants",
     "delta_constants",
     "bisect",
-    "golden_min",
 ]
 
 KAPPA_STAR_ENERGY = 1.0 / math.log(4.0)  # closed form; solves 1 + 2Q(k) - 4Q(k/2) = 0
@@ -148,25 +147,6 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-12, scan_step: float = 1e-3)
             b, fb = m, fm
         else:
             a, fa = m, fm
-    return 0.5 * (a + b)
-
-
-def golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Golden-section minimum of a unimodal f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
     return 0.5 * (a + b)
 
 

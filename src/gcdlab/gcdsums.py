@@ -23,7 +23,7 @@ import numpy as np
 
 from .arith import FactorSieve
 from .errors import ConvergenceError, InvalidArgumentError
-from .weights import WeightVector, all_ones, omega_level_weights
+from .weights import WeightVector, omega_level_weights, sweep_levels
 
 __all__ = [
     "Kernel",
@@ -65,13 +65,18 @@ class GcdSumReport:
         return asdict(self)
 
 
+def _kernel_block(si: np.ndarray, sj: np.ndarray, kind: Kernel) -> np.ndarray:
+    """Kernel entries K(m, n) for m in si (rows) and n in sj (columns)."""
+    g = np.gcd.outer(si, sj).astype(np.float64)
+    if kind is Kernel.T1:
+        return g / np.sqrt(np.outer(si.astype(np.float64), sj.astype(np.float64)))
+    return g / np.add.outer(si.astype(np.float64), sj.astype(np.float64))
+
+
 def kernel_matrix(support: np.ndarray, kind: Kernel) -> np.ndarray:
     """Dense kernel matrix restricted to the given index set."""
     s = np.asarray(support, dtype=np.int64)
-    g = np.gcd.outer(s, s).astype(np.float64)
-    if kind is Kernel.T1:
-        return g / np.sqrt(np.outer(s.astype(np.float64), s.astype(np.float64)))
-    return g / np.add.outer(s.astype(np.float64), s.astype(np.float64))
+    return _kernel_block(s, s, kind)
 
 
 def _direct_form(support: np.ndarray, wvals: np.ndarray, kind: Kernel) -> float:
@@ -84,12 +89,7 @@ def _direct_form(support: np.ndarray, wvals: np.ndarray, kind: Kernel) -> float:
         for j0 in range(i0, len(s), _BLOCK):
             sj = s[j0 : j0 + _BLOCK]
             wj = wvals[j0 : j0 + _BLOCK]
-            g = np.gcd.outer(si, sj).astype(np.float64)
-            if kind is Kernel.T1:
-                k = g / np.sqrt(np.outer(si.astype(np.float64), sj.astype(np.float64)))
-            else:
-                k = g / np.add.outer(si.astype(np.float64), sj.astype(np.float64))
-            block = float(wi @ k @ wj)
+            block = float(wi @ _kernel_block(si, sj, kind) @ wj)
             total += block if j0 == i0 else 2.0 * block
     return total
 
@@ -279,11 +279,9 @@ def exact_minimize(
     return wv, n * float(w @ K @ w)
 
 
-def _level_ratio(sieve: FactorSieve, n: int, k: int, kind: Kernel) -> float | None:
+def _level_ratio(sieve: FactorSieve, n: int, k: int, kind: Kernel) -> float:
     w = omega_level_weights(sieve, n, k)
     l1 = w.l1()
-    if l1 == 0:
-        return None
     use_grouped = kind is Kernel.T1 and len(w.support) > 1500
     raw = gcd_quadratic_form(w, kind, sieve if use_grouped else None,
                              evaluator="grouped" if use_grouped else "direct")
@@ -297,33 +295,17 @@ def minimize_over_levels(n: int, kind: Kernel, sieve: FactorSieve) -> tuple[int,
     N * diag / l1 already exceeds the best ratio found are skipped; the bound
     is strict, so no potential tie is ever discarded.
     """
-    if n < 1:
-        raise InvalidArgumentError("need N >= 1")
-    if n > sieve.limit:
-        raise InvalidArgumentError("sieve too small")
-    counts = np.bincount(sieve.omega[1 : n + 1])
-    order = sorted((k for k in range(len(counts)) if counts[k] > 0),
-                   key=lambda k: (-counts[k], k))
-    best_ratio, best_k = np.inf, -1
-    for k in order:
-        lower = n * kind.diagonal / counts[k]
-        if lower > best_ratio:
-            continue
-        r = _level_ratio(sieve, n, k, kind)
-        if r is not None and (r, k) < (best_ratio, best_k):
-            best_ratio, best_k = r, k
-    return best_k, best_ratio
+    ratio, k = min((r, k) for k, _, r in sweep_levels(
+        sieve, n,
+        lambda k, size: _level_ratio(sieve, n, k, kind),
+        floor=lambda k, size: n * kind.diagonal / size,
+    ))
+    return k, ratio
 
 
 def level_sweep_table(n: int, kind: Kernel, sieve: FactorSieve) -> list[tuple[int, int, float]]:
     """(k, support size, ratio) for every nonempty level; no pruning."""
-    counts = np.bincount(sieve.omega[1 : n + 1])
-    out = []
-    for k in range(len(counts)):
-        if counts[k] == 0:
-            continue
-        out.append((k, int(counts[k]), _level_ratio(sieve, n, k, kind)))
-    return out
+    return sorted(sweep_levels(sieve, n, lambda k, size: _level_ratio(sieve, n, k, kind)))
 
 
 def t0_max_profile(x_max: int, sieve: FactorSieve) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .arith import FactorSieve
-from .characters import CharacterTable, all_char_sums, build_table
+from .characters import CharacterTable, all_char_sums, all_mollifiers, build_table
 from .energy import minimize_energy_over_levels
 from .errors import DomainError, InvalidArgumentError
 from .weights import WeightVector
@@ -87,18 +87,6 @@ def char_moment_closed_form(p: int, n: int) -> float:
     return n - n * n / (p - 1.0)
 
 
-def _all_mollifiers(table: CharacterTable, w: WeightVector) -> np.ndarray:
-    p = table.p
-    if w.limit >= p:
-        raise InvalidArgumentError("weight support must stay below p")
-    folded = np.zeros(p, dtype=np.float64)
-    supp = w.support
-    np.add.at(folded, supp % p, w.values[supp].astype(np.float64))
-    b = np.zeros(p - 1, dtype=np.complex128)
-    b[table.dlog[1:]] = folded[1:]
-    return np.conj((p - 1) * np.fft.ifft(b))
-
-
 def mollified_fourth(
     p: int, n: int, w: WeightVector, table: CharacterTable | None = None
 ) -> float:
@@ -113,7 +101,7 @@ def mollified_fourth(
         raise InvalidArgumentError("weight vector must live on [1, N]")
     if table is None:
         table = build_table(p)
-    m = _all_mollifiers(table, w)[1:]
+    m = all_mollifiers(table, w)[1:]
     return float((np.abs(m) ** 4).sum()) / (p - 1)
 
 
@@ -160,7 +148,7 @@ def holder_chain_check(
         raise DomainError("need N < p")
     table = build_table(p)
     s = _nonprincipal_sums(table, n)
-    m = _all_mollifiers(table, w)[1:]
+    m = all_mollifiers(table, w)[1:]
     lhs = abs(complex((s * m).sum())) / (p - 1)
     s1 = float(np.abs(s).sum()) / (p - 1)
     s2 = float((np.abs(s) ** 2).sum()) / (p - 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .arith import FactorSieve
-from .characters import Character, CharacterTable, build_table
+from .characters import Character, CharacterTable, all_mollifiers, build_table
 from .energy import energy_histogram, minimize_energy_over_levels
 from .errors import InvalidArgumentError
 from .weights import WeightVector, omega_level_weights
@@ -122,10 +122,7 @@ def all_even_thetas(table: CharacterTable, x: float) -> tuple[np.ndarray, int, f
     coeff = np.exp(-math.pi * x * ns.astype(np.float64) ** 2 / p)
     folded = np.zeros(p, dtype=np.float64)
     np.add.at(folded, ns % p, coeff)
-    b = np.zeros(p - 1, dtype=np.complex128)
-    b[table.dlog[1:]] = folded[1:]
-    all_values = (p - 1) * np.fft.ifft(b)
-    return all_values[0 : p - 1 : 2], n_max, theta_tail_bound(p, x, n_max)
+    return table.transform(folded)[0 : p - 1 : 2], n_max, theta_tail_bound(p, x, n_max)
 
 
 def mollifier(chi: Character, w: WeightVector) -> complex:
@@ -135,20 +132,6 @@ def mollifier(chi: Character, w: WeightVector) -> complex:
     vals = chi.values()
     supp = w.support
     return complex((w.values[supp] * np.conj(vals[supp % chi.p])).sum())
-
-
-def _all_even_mollifiers(table: CharacterTable, w: WeightVector) -> np.ndarray:
-    p = table.p
-    if w.limit > mollifier_cutoff(p):
-        raise InvalidArgumentError("weight support must fit below floor(sqrt(p/3))")
-    folded = np.zeros(p, dtype=np.float64)
-    supp = w.support
-    np.add.at(folded, supp % p, w.values[supp].astype(np.float64))
-    b = np.zeros(p - 1, dtype=np.complex128)
-    b[table.dlog[1:]] = folded[1:]
-    all_values = (p - 1) * np.fft.ifft(b)
-    # conj turns the chi-sum into the conj(chi)-sum for real weights
-    return np.conj(all_values[0 : p - 1 : 2])
 
 
 @dataclass
@@ -192,11 +175,13 @@ def moment_report(
     thetas, _, tail = all_even_thetas(table, x)
     if threshold <= tail:
         raise InvalidArgumentError("threshold must exceed the certified tail bound")
-    molls = _all_even_mollifiers(table, w)
+    cutoff = mollifier_cutoff(p)
+    if w.limit > cutoff:
+        raise InvalidArgumentError("weight support must fit below floor(sqrt(p/3))")
+    molls = all_mollifiers(table, w)[0 : p - 1 : 2]
     m1 = complex((molls * thetas).sum())
     m2 = float((np.abs(thetas) ** 2).sum())
     m4 = float((np.abs(molls) ** 4).sum())
-    cutoff = mollifier_cutoff(p)
     wl = WeightVector(cutoff, w.values[: cutoff + 1].copy(), label=w.label)
     m4_id = 0.5 * (p - 1) * float(energy_histogram(wl))
     m0 = int((np.abs(thetas) > threshold).sum())

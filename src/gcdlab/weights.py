@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -21,7 +21,7 @@ __all__ = [
     "omega_level_weights",
     "omega_tail_weights",
     "kappa_to_k",
-    "l1_norm",
+    "sweep_levels",
     "indicator",
     "all_ones",
 ]
@@ -99,8 +99,34 @@ def kappa_to_k(n: int, kappa: float) -> int:
     return max(0, math.floor(kappa * math.log(math.log(n)) + 0.5))
 
 
-def l1_norm(w: WeightVector) -> float:
-    return w.l1()
+def sweep_levels(
+    sieve: FactorSieve,
+    n: int,
+    ratio: Callable[[int, int], float],
+    floor: Callable[[int, int], float] | None = None,
+) -> list[tuple[int, int, float]]:
+    """(k, support size, ratio(k, size)) for the nonempty Omega-levels of [1, n].
+
+    Levels are visited by decreasing support, then smaller k.  With a
+    ``floor``, a level whose floor(k, size) exceeds the smallest ratio found
+    so far is skipped and left out of the result; the test is strict, so no
+    potential tie is ever discarded.
+    """
+    if n < 1 or n > sieve.limit:
+        raise InvalidArgumentError("need 1 <= N <= sieve.limit")
+    counts = np.bincount(sieve.omega[1 : n + 1])
+    order = sorted((k for k in range(len(counts)) if counts[k] > 0),
+                   key=lambda k: (-counts[k], k))
+    best = np.inf
+    out = []
+    for k in order:
+        size = int(counts[k])
+        if floor is not None and floor(k, size) > best:
+            continue
+        r = ratio(k, size)
+        best = min(best, r)
+        out.append((k, size, r))
+    return out
 
 
 def indicator(members: Iterable[int], n_max: int) -> WeightVector:

@@ -91,6 +91,18 @@ def test_char_sum_long_intervals():
         assert char_sum(chi, m, n) == pytest.approx(brute, abs=1e-10)
 
 
+@pytest.mark.parametrize("p", [3, 5, 31])
+def test_transform_matches_character_values(p):
+    # p = 3 is the smallest family: p - 1 = 2 characters
+    t = build_table(p)
+    rng = np.random.default_rng(p)
+    f = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+    out = t.transform(f)
+    assert len(out) == p - 1
+    for chi in t.characters():
+        assert out[chi.index] == pytest.approx(complex(f @ chi.values()), abs=1e-10)
+
+
 def test_all_char_sums_matches_single():
     t = build_table(31)
     sums = all_char_sums(t, 4, 11)

@@ -171,3 +171,35 @@ def test_theta_scan_jobs():
     assert seq == par
     lines = seq.strip().split("\n")
     assert len(lines) == 1 + len([p for p in (5, 7, 11, 13, 17, 19, 23, 29) ])
+
+
+@pytest.mark.parametrize("args, expect", [
+    (["theta"], 2),
+    (["multable"], 2),
+    (["multable", "--powers", "0"], 1),
+    (["energy", "--n", "3", "--config"], 2),
+    (["energy", "--n", "10", "--weights", "level:abc"], 1),
+    (["energy", "--n", "10", "--weights", "level-kappa:abc"], 1),
+    (["energy", "--n", "10", "--weights", "level-kappa:nan"], 1),
+    (["energy", "--n", "6", "--weights", "indicator-file:{bad}"], 1),
+])
+def test_bad_input_exits_without_traceback(tmp_path, args, expect):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("2,1\n3;1\n")
+    proc = subprocess.run(RUN + [a.format(bad=bad) for a in args],
+                          capture_output=True, text=True)
+    assert proc.returncode == expect, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    if expect == 2:
+        assert proc.stdout == ""
+        return
+    (line,) = proc.stdout.splitlines()
+    err = json.loads(line)
+    assert set(err) == {"error", "type"}
+    assert err["type"] == "InvalidArgumentError"
+    if "indicator-file" in args[-1]:
+        assert "line 2" in err["error"]
+
+
+def test_theta_scan_without_primes():
+    assert run_cli("theta", "--scan", "0", "--format", "csv").startswith("p,x,weight_desc")

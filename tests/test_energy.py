@@ -154,7 +154,8 @@ def test_multiplication_table_incremental_oracle():
 
 def test_multiplication_table_chunked_path():
     assert multiplication_table_count(600) == len(distinct_products(600))
-    # the chunked bitmap path (N > 4096) must agree with a dense unique count
+    # 4097**2 > 2**24, so this N spans two bitmap chunks; checked against a
+    # dense unique count
     n = 4097
     m = np.arange(1, n + 1, dtype=np.int64)
     dense = int(len(np.unique(np.multiply.outer(m, m))))

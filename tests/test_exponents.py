@@ -12,7 +12,6 @@ from gcdlab.exponents import (
     energy_upper_exponent,
     gcd_saving_exponent,
     gcd_upper_exponent,
-    golden_min,
     lambda_half,
     lambda_one_two,
     lambda_two_one,
@@ -181,4 +180,3 @@ def test_bisect_and_golden():
     assert abs(bisect(lambda x: x * x - 2, 0, 2) - math.sqrt(2)) < 1e-11
     with pytest.raises(SolverError):
         bisect(lambda x: x * x + 1, -1, 1)
-    assert abs(golden_min(lambda x: (x - 0.3) ** 2, 0, 1) - 0.3) < 1e-9

@@ -10,7 +10,6 @@ from gcdlab.weights import (
     all_ones,
     indicator,
     kappa_to_k,
-    l1_norm,
     omega_level_weights,
     omega_tail_weights,
 )
@@ -51,8 +50,8 @@ def test_kappa_to_k():
 
 
 def test_l1_and_indicator(sieve_small):
-    assert l1_norm(omega_level_weights(sieve_small, 10, 1)) == 4
-    assert l1_norm(all_ones(25)) == 25
+    assert omega_level_weights(sieve_small, 10, 1).l1() == 4
+    assert all_ones(25).l1() == 25
     w = indicator([3, 5, 9], 10)
     assert w.l1() == 3 and w.support.tolist() == [3, 5, 9]
     with pytest.raises(InvalidArgumentError):
