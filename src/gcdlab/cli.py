@@ -442,12 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(argv: list[str], ap: argparse.ArgumentParser) -> list[str]:
     """Splice key=value config entries in ahead of explicit flags (flags win)."""
-    if "--config" not in argv:
+    pre = argparse.ArgumentParser(prog="gcdlab", add_help=False)
+    pre.add_argument("--config")  # both "--config FILE" and "--config=FILE"
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 == len(argv):
-        ap.error("argument --config: expected one argument")
-    path = argv[idx + 1]
     inject = []
     with open(path) as fh:
         for line in fh:
@@ -459,8 +458,7 @@ def _apply_config(argv: list[str], ap: argparse.ArgumentParser) -> list[str]:
             key, value = (part.strip() for part in line.split("=", 1))
             inject.extend([f"--{key}", value])
     command = argv[0]
-    probe = ap.parse_args([command] + inject + argv[1:])  # rejects unknown keys
-    del probe
+    ap.parse_args([command] + inject + argv[1:])  # rejects unknown keys
     return [command] + inject + argv[1:]
 
 

@@ -16,6 +16,7 @@ feasible and is cross-validated against the other three in the tests.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, asdict
 from typing import Iterable
@@ -90,24 +91,37 @@ def energy_quadruple(w: WeightVector):
     return total
 
 
-def energy_histogram(w: WeightVector, pair_budget: int = PAIR_BUDGET):
+def _product_counts(left: np.ndarray, right: np.ndarray, wl=None, wr=None) -> np.ndarray:
+    """r(P) for each product P = a*b (a in left, b in right) that occurs.
+
+    Each pair counts wl(a) wr(b) when weights are given, else 1.  This is the
+    one place that forms an outer product of supports; its guard runs first.
+    """
+    npairs = len(left) * len(right)
+    if npairs > PAIR_BUDGET:
+        raise ResourceLimitError(f"{npairs} product pairs exceed budget {PAIR_BUDGET}")
+    prods = np.multiply.outer(left, right).ravel()
+    if wl is None:
+        prods.sort()
+    else:
+        order = np.argsort(prods)
+        prods, coef = prods[order], np.multiply.outer(wl, wr).ravel()[order]
+    edges = np.flatnonzero(np.concatenate(([True], prods[1:] != prods[:-1], [True])))
+    return np.diff(edges) if wl is None else np.add.reduceat(coef, edges[:-1])
+
+
+def energy_histogram(w: WeightVector):
     """Sum over products P of r(P)**2 where r(P) = sum of w(a)w(b) with ab=P."""
     _check_weights(w)
     supp = w.support
-    npairs = len(supp) * len(supp)
-    if npairs > pair_budget:
-        raise ResourceLimitError(f"{npairs} product pairs exceed budget {pair_budget}")
-    prods = np.multiply.outer(supp, supp).ravel()
-    wv = w.values[supp]
-    coef = np.multiply.outer(wv, wv).ravel()
-    _, inverse = np.unique(prods, return_inverse=True)
-    if w.is_integral:
-        r = np.zeros(inverse.max() + 1, dtype=np.int64)
-        np.add.at(r, inverse, coef)
-        return int((r.astype(object) ** 2).sum())
-    r = np.zeros(inverse.max() + 1, dtype=np.float64)
-    np.add.at(r, inverse, coef.astype(np.float64))
-    return float((r * r).sum())
+    wv = w.values[supp].astype(np.int64 if w.is_integral else np.float64)
+    r = _product_counts(supp, supp) if (wv == 1).all() else _product_counts(supp, supp, wv, wv)
+    if not w.is_integral:
+        return float((r * r).sum())
+    # sum r**2 <= (sum r)**2 = l1**4, so int64 is exact below 2**63
+    if int(wv.sum()) ** 4 < 2**63:
+        return int(r @ r)
+    return int((r.astype(object) ** 2).sum())
 
 
 def energy_parametrized(w: WeightVector):
@@ -251,21 +265,14 @@ def energy_sweep_table(n: int, sieve: FactorSieve) -> list[tuple[int, int, float
     return sorted(sweep_levels(sieve, n, lambda k, size: _level_energy_ratio(sieve, n, k, size)))
 
 
-def _pair_histogram_sq(left: np.ndarray, right: np.ndarray) -> int:
-    prods = np.multiply.outer(left, right).ravel()
-    _, counts = np.unique(prods, return_counts=True)
-    return int((counts.astype(object) ** 2).sum())
-
-
 def set_energy(a: Iterable[int], b: Iterable[int]) -> int:
     """E(A, B): quadruples m1*m2 = n1*n2 with m1, n1 in A and m2, n2 in B."""
     aa = np.asarray(sorted(set(a)), dtype=np.int64)
     bb = np.asarray(sorted(set(b)), dtype=np.int64)
     if len(aa) == 0 or len(bb) == 0:
         raise InvalidArgumentError("sets must be nonempty")
-    if len(aa) * len(bb) > PAIR_BUDGET:
-        raise ResourceLimitError("set energy pair budget exceeded")
-    return _pair_histogram_sq(aa, bb)
+    r = _product_counts(aa, bb)
+    return int(r @ r)
 
 
 def asym_energy(n: int, b: Iterable[int]) -> int:
@@ -308,8 +315,6 @@ def h_count(sieve: FactorSieve, n: int, k, r: int) -> int:
         raise InvalidArgumentError("need 1 <= N <= sieve.limit")
     om = sieve.omega[1 : n + 1]
     if k == "tail":
-        import math
-
         if n < 2:
             raise InvalidArgumentError("tail selector needs N >= 2")
         left = np.nonzero(om >= math.log(math.log(n)))[0] + 1
@@ -318,7 +323,4 @@ def h_count(sieve: FactorSieve, n: int, k, r: int) -> int:
     right = np.nonzero(om == r)[0] + 1
     if len(left) == 0 or len(right) == 0:
         return 0
-    if len(left) * len(right) > PAIR_BUDGET:
-        raise ResourceLimitError("h_count pair budget exceeded")
-    prods = np.multiply.outer(left, right).ravel()
-    return int(len(np.unique(prods)))
+    return len(_product_counts(left, right))

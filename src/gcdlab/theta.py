@@ -182,8 +182,7 @@ def moment_report(
     m1 = complex((molls * thetas).sum())
     m2 = float((np.abs(thetas) ** 2).sum())
     m4 = float((np.abs(molls) ** 4).sum())
-    wl = WeightVector(cutoff, w.values[: cutoff + 1].copy(), label=w.label)
-    m4_id = 0.5 * (p - 1) * float(energy_histogram(wl))
+    m4_id = 0.5 * (p - 1) * float(energy_histogram(w))
     m0 = int((np.abs(thetas) > threshold).sum())
     slack = math.sqrt(m2) * m4**0.25 * m0**0.25 - abs(m1)
     return MomentReport(

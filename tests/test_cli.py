@@ -139,6 +139,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     cfg.write_text("n=3\nweights=ones\n")
     out = run_cli("energy", "--config", str(cfg))
     assert json.loads(out)["n"] == 3
+    assert run_cli("energy", f"--config={cfg}") == out
     # explicit flag wins over the config value
     out = run_cli("energy", "--config", str(cfg), "--n", "2")
     assert json.loads(out)["n"] == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,18 @@ def test_energy_matches_four_loop_oracle():
         assert energy_quadruple(w) == expect
         assert energy_histogram(w) == expect
         assert energy_parametrized(w) == expect
+    # l1**4 >= 2**63 takes the Python-int route of the histogram; the first
+    # energy still fits the int64 sums of energy_quadruple, the second does not
+    for n, lo, hi, fits in ((12, 6000, 9000, True), (6, 1 << 20, 1 << 21, False)):
+        vals = np.zeros(n + 1, dtype=np.int64)
+        vals[1:] = rng.integers(lo, hi, size=n)
+        w = WeightVector(n, vals)
+        assert int(vals.sum()) ** 4 >= 2**63
+        expect = energy_four_loop({m: int(vals[m]) for m in range(1, n + 1)}, n)
+        assert (expect < 2**63) == fits
+        assert energy_histogram(w) == energy_parametrized(w) == expect
+        if fits:
+            assert energy_quadruple(w) == expect
 
 
 def test_prime_level_energy_equality(sieve_small):
@@ -57,6 +70,24 @@ def test_prime_level_energy_equality(sieve_small):
 def test_quadruple_guard():
     with pytest.raises(ResourceLimitError):
         energy_quadruple(all_ones(301))
+
+
+def test_pair_guard_raises_before_allocating(sieve_big):
+    # 8193**2 > 2**26 pairs; the outer product alone would take 512 MiB
+    calls = [
+        lambda: energy_histogram(all_ones(8193)),
+        lambda: set_energy(range(1, 8194), range(1, 8194)),
+        lambda: h_count(sieve_big, 1 << 20, 2, 3),  # 219759 * 262865 pairs
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
 
 
 def test_real_weights_agreement():
@@ -135,6 +166,15 @@ def test_set_energy():
     assert asym_energy(2, {1, 2}) == 6
     with pytest.raises(InvalidArgumentError):
         set_energy(set(), {1})
+    # sparse sets whose products exceed 2**32, against a dict of counts
+    a = {(1 << 17) * x for x in range(1, 61)} | {1_000_003, 999_983}
+    b = {3**11 * y for y in range(1, 61)} | {1_000_033}
+    reps = {}
+    for m in a:
+        for n in b:
+            reps[m * n] = reps.get(m * n, 0) + 1
+    assert max(reps) > 2**32
+    assert set_energy(a, b) == sum(c * c for c in reps.values())
 
 
 def test_multiplication_table_examples():
@@ -158,11 +198,12 @@ def test_multiplication_table_chunked_path():
     # dense unique count
     n = 4097
     m = np.arange(1, n + 1, dtype=np.int64)
-    dense = int(len(np.unique(np.multiply.outer(m, m))))
+    prods = np.sort(np.multiply.outer(m, m), axis=None)
+    dense = 1 + int(np.count_nonzero(prods[1:] != prods[:-1]))
     assert multiplication_table_count(n) == dense
 
 
-def test_h_count(sieve_small):
+def test_h_count(sieve_small, sieve_big):
     assert h_count(sieve_small, 4, 1, 1) == 3  # {4, 6, 9}
     assert h_count(sieve_small, 3, 1, 1) == 3
     assert h_count(sieve_small, 100, 0, 0) == 1
@@ -170,6 +211,14 @@ def test_h_count(sieve_small):
     assert h_count(sieve_small, 16, "tail", 1) == len(
         {m * n for m in range(2, 17) if sieve_small.omega[m] >= math.log(math.log(16)) for n in (2, 3, 5, 7, 11, 13)}
     )
+    # sparse high levels whose products exceed 2**32
+    n = 1 << 20
+    om = sieve_big.omega[: n + 1].tolist()
+    left = [m for m in range(1, n + 1) if om[m] == 14]
+    right = [m for m in range(1, n + 1) if om[m] == 16]
+    prods = {m * q for m in left for q in right}
+    assert max(prods) > 2**32
+    assert h_count(sieve_big, n, 14, 16) == len(prods)
 
 
 def test_energy_ratio_invalid_evaluator():

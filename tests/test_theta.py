@@ -110,6 +110,9 @@ def test_moment_report_identity_p13():
     assert energy_histogram(all_ones(2)) == 6
     assert rep.m4_identity == pytest.approx(0.5 * 12 * 6, abs=1e-12)
     assert rep.m4_direct == pytest.approx(36.0, rel=1e-9)
+    # a vector shorter than floor(sqrt(p/3)) = 10 is accepted as it stands
+    rep = moment_report(331, 1.0, all_ones(3))
+    assert rep.m4_identity == pytest.approx(rep.m4_direct, rel=1e-6)
 
 
 def test_moment_m1_diagonal_lower_bound():
