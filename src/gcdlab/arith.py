@@ -83,9 +83,15 @@ def build_sieve(limit: int) -> FactorSieve:
     spf[untouched] = untouched
     spf[1] = 1
 
+    # strip one smallest prime factor per pass from every n not yet reduced to 1
     omega = np.zeros(limit + 1, dtype=np.int64)
-    for n in range(2, limit + 1):
-        omega[n] = omega[n // spf[n]] + 1
+    active = np.arange(2, limit + 1)
+    rest = active.copy()
+    while len(active):
+        omega[active] += 1
+        rest //= spf[rest]
+        keep = rest > 1
+        active, rest = active[keep], rest[keep]
 
     phi = np.arange(limit + 1, dtype=np.int64)
     n = np.arange(2, limit + 1)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .arith import FactorSieve
 from .errors import InvalidArgumentError, ResourceLimitError
-from .weights import WeightVector, omega_level_weights, sweep_levels
+from .weights import WeightVector, sweep_levels
 
 __all__ = [
     "EnergyReport",
@@ -44,6 +44,8 @@ __all__ = [
 
 QUADRUPLE_LIMIT = 300
 PAIR_BUDGET = 1 << 26
+# (e, q) pairs per np.bincount in energy_level_exact
+_BATCH = 1 << 18
 
 
 @dataclass
@@ -74,9 +76,10 @@ def energy_quadruple(w: WeightVector):
     if w.limit > QUADRUPLE_LIMIT:
         raise ResourceLimitError(f"quadruple oracle refuses N > {QUADRUPLE_LIMIT}")
     supp = [int(m) for m in w.support]
-    vals = w.values
     n = w.limit
     integral = w.is_integral
+    # Python numbers: integer weights accumulate exactly, with no int64 wrap
+    vals = [int(v) if integral else float(v) for v in w.values]
     total = 0 if integral else 0.0
     for m1 in supp:
         for m2 in supp:
@@ -153,13 +156,55 @@ def energy_parametrized(w: WeightVector):
     return total
 
 
+def _pair_pieces(es: np.ndarray, n: int):
+    """Pieces of the pairs (e, q) with e in es (sorted) and e*q <= n.
+
+    Hyperbola split at s = isqrt(n): each e <= s gives the arange of its
+    multiples' cofactors q, and each q <= n // (s + 1) gives the prefix of
+    es in (s, n // q].  That is about 2 sqrt(n) Python steps, and every
+    piece holds at most _BATCH pairs.
+    """
+    s = math.isqrt(n)
+    small, big = es[es <= s], es[es > s]
+    for e in small.tolist():
+        for lo in range(1, n // e + 1, _BATCH):
+            q = np.arange(lo, min(lo + _BATCH, n // e + 1))
+            yield np.full(len(q), e), q
+    for q in range(1, n // (s + 1) + 1):
+        top = big[: np.searchsorted(big, n // q, side="right")]
+        for lo in range(0, len(top), _BATCH):
+            e = top[lo : lo + _BATCH]
+            yield e, np.full(len(e), q)
+
+
+def _pair_batches(es: np.ndarray, n: int):
+    """The pieces of ``_pair_pieces`` joined into batches of at most _BATCH pairs."""
+    e_parts, q_parts, size = [], [], 0
+    for e, q in _pair_pieces(es, n):
+        if size + len(e) > _BATCH:
+            yield np.concatenate(e_parts), np.concatenate(q_parts)
+            e_parts, q_parts, size = [], [], 0
+        e_parts.append(e)
+        q_parts.append(q)
+        size += len(e)
+    yield np.concatenate(e_parts), np.concatenate(q_parts)
+
+
 def energy_level_exact(sieve: FactorSieve, n: int, k: int):
     """Exact energy of the level-k indicator via inclusion-exclusion.
 
     Writing the coprime-pair sum over (d1, d2) with Omega(d1) = Omega(d2) = j
-    and grouping by m = max(d1, d2), the inner h-sum becomes a level-count
-    lookup and the coprimality condition unfolds over squarefree divisors.
-    Runs in roughly sum over squarefree e of N/e steps (~N log N).
+    and grouping by m = max(d1, d2), the inner h-sum becomes a level count
+    and the coprimality condition unfolds over squarefree divisors e of m:
+
+        coprime_below[m] = sum over e | m of mu(e) cnt[Omega(m) - Omega(e), m/e - 1],
+
+    where cnt[t, x] = #{1 <= y <= x : Omega(y) = t}.  The count table holds
+    the rows t <= k as int32, (k+1)(N+1)*4 bytes (88 MB at N = 2**20,
+    k = 20).  The pairs (e, q = m/e) with e squarefree, Omega(e) <= k and
+    e*q <= N (9.1M of them for k = 3 at N = 2**20) come from a hyperbola
+    split and are summed into coprime_below with one ``np.bincount`` per
+    batch of at most _BATCH pairs.
     """
     if n < 1 or n > sieve.limit:
         raise InvalidArgumentError("need 1 <= N <= sieve.limit")
@@ -167,41 +212,29 @@ def energy_level_exact(sieve: FactorSieve, n: int, k: int):
     kmax = int(om[1:].max()) if n > 1 else 0
     if k < 0 or k > kmax:
         return 0
-    levels = [np.nonzero(om[1:] == t)[0] + 1 for t in range(kmax + 1)]
-
-    def level_count(t: int, xs: np.ndarray) -> np.ndarray:
-        if t < 0 or t > kmax:
-            return np.zeros(len(xs), dtype=np.int64)
-        return np.searchsorted(levels[t], xs, side="right")
-
+    cnt = np.zeros((k + 1, n + 1), dtype=np.int32)
+    for t in range(k + 1):
+        np.cumsum(om[1:] == t, dtype=np.int32, out=cnt[t, 1:])
     mu = sieve.mobius()
     # candidates for the coprimality unfolding: squarefree e with Omega <= k
     es = np.nonzero((mu[: n + 1] != 0) & (om <= k))[0]
-    es = es[es >= 1]
     coprime_below = np.zeros(n + 1, dtype=np.float64)
-    for e in es:
-        e = int(e)
-        ms = np.arange(2, n + 1) if e == 1 else np.arange(e, n + 1, e)
-        j = om[ms]
-        sel = j <= k
-        ms = ms[sel]
-        t = j[sel] - om[e]
-        xs = (ms - 1) // e
-        for tv in np.unique(t):
-            if tv < 0:
-                continue
-            pick = t == tv
-            coprime_below[ms[pick]] += mu[e] * level_count(int(tv), xs[pick])
+    for e, q in _pair_batches(es, n):
+        m = e * q
+        keep = om[m] <= k
+        e, q, m = e[keep], q[keep], m[keep]
+        # e | m, so Omega(m) - Omega(e) >= 0, and (m - 1) // e = q - 1
+        coprime_below += np.bincount(
+            m, weights=mu[e] * cnt[om[m] - om[e], q - 1], minlength=n + 1
+        )
     total = 0.0
     ms_all = np.arange(2, n + 1)
     j_all = om[ms_all]
     for j in range(0, k + 1):
         ms = ms_all[j_all == j]
-        if len(ms) == 0:
-            continue
-        f = level_count(k - j, n // ms).astype(np.float64)
+        f = cnt[k - j, n // ms].astype(np.float64)
         total += 2.0 * float(f * f @ coprime_below[ms])
-    pk = len(levels[k])
+    pk = int(cnt[k, n])
     total += float(pk) * pk
     if total >= 2.0**53:
         raise ResourceLimitError("energy exceeds exact float64 integer range")
@@ -235,11 +268,7 @@ def energy_ratio(w: WeightVector, evaluator: str = "auto") -> EnergyReport:
 
 
 def _level_energy_ratio(sieve: FactorSieve, n: int, k: int, l1: int) -> float:
-    if l1 * l1 <= PAIR_BUDGET // 16:
-        e = energy_histogram(omega_level_weights(sieve, n, k))
-    else:
-        e = energy_level_exact(sieve, n, k)
-    return n * n * float(e) / float(l1) ** 4
+    return n * n * float(energy_level_exact(sieve, n, k)) / float(l1) ** 4
 
 
 def minimize_energy_over_levels(n: int, sieve: FactorSieve) -> tuple[int, float]:

@@ -52,6 +52,14 @@ def test_omega_additivity(sieve_big):
         assert s.omega[a * b] == s.omega[a] + s.omega[b]
 
 
+def test_omega_matches_spf_recurrence(sieve_small):
+    s = sieve_small
+    omega = [0] * (s.limit + 1)
+    for n in range(2, s.limit + 1):
+        omega[n] = omega[n // int(s.spf[n])] + 1
+    assert s.omega.tolist() == omega
+
+
 def test_spf_divides_and_is_prime(sieve_small):
     s = sieve_small
     primes = set(s.primes.tolist())

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gcdlab import energy as energy_module
 from gcdlab.energy import (
     asym_energy,
     energy_histogram,
@@ -45,7 +46,7 @@ def test_energy_matches_four_loop_oracle():
         assert energy_histogram(w) == expect
         assert energy_parametrized(w) == expect
     # l1**4 >= 2**63 takes the Python-int route of the histogram; the first
-    # energy still fits the int64 sums of energy_quadruple, the second does not
+    # energy still fits in int64, the second does not
     for n, lo, hi, fits in ((12, 6000, 9000, True), (6, 1 << 20, 1 << 21, False)):
         vals = np.zeros(n + 1, dtype=np.int64)
         vals[1:] = rng.integers(lo, hi, size=n)
@@ -54,8 +55,7 @@ def test_energy_matches_four_loop_oracle():
         expect = energy_four_loop({m: int(vals[m]) for m in range(1, n + 1)}, n)
         assert (expect < 2**63) == fits
         assert energy_histogram(w) == energy_parametrized(w) == expect
-        if fits:
-            assert energy_quadruple(w) == expect
+        assert energy_quadruple(w) == expect
 
 
 def test_prime_level_energy_equality(sieve_small):
@@ -142,13 +142,31 @@ def test_cauchy_schwarz_support_bound():
 
 
 def test_level_exact_matches_generic(sieve_small):
-    for n in (1, 2, 30, 120):
+    for n in (1, 2, 30, 120, 1000, 5000):
         kmax = int(sieve_small.omega[1 : n + 1].max()) if n > 1 else 0
         for k in range(0, kmax + 1):
             w = omega_level_weights(sieve_small, n, k)
             if w.l1() == 0:
                 continue
+            exact = energy_level_exact(sieve_small, n, k)
+            assert exact == energy_histogram(w) == energy_parametrized(w)
+
+
+def test_level_exact_small_batches(sieve_small, monkeypatch):
+    # a batch of 5 pairs: many bincount flushes, long pair pieces split up,
+    # and at N = 900 the squarefree e = 30 = isqrt(N) on the seam of the split
+    monkeypatch.setattr(energy_module, "_BATCH", 5)
+    for n in (900, 1023):
+        kmax = int(sieve_small.omega[1 : n + 1].max())
+        for k in range(0, kmax + 1):
+            w = omega_level_weights(sieve_small, n, k)
             assert energy_level_exact(sieve_small, n, k) == energy_histogram(w)
+
+
+def test_level_exact_pinned_at_2_20(sieve_big):
+    n = 1 << 20
+    got = [energy_level_exact(sieve_big, n, k) for k in (1, 2, 3)]
+    assert got == [13456119225, 121562091339, 291716616333]
 
 
 def test_minimize_energy_over_levels(sieve_small):
