@@ -40,30 +40,15 @@ class FactorSieve:
     omega: np.ndarray
     spf: np.ndarray
     phi: np.ndarray
-    _mobius: np.ndarray | None = field(default=None, repr=False)
+    _mobius: np.ndarray = field(repr=False)
 
     @property
     def primes(self) -> np.ndarray:
         n = np.arange(2, self.limit + 1)
         return n[self.spf[2:] == n]
 
-    def level_support(self, n_max: int, k: int) -> np.ndarray:
-        """Integers m <= n_max with exactly k prime factors (multiplicity)."""
-        if n_max > self.limit:
-            raise InvalidArgumentError(f"n_max={n_max} exceeds sieve limit {self.limit}")
-        return np.nonzero(self.omega[1 : n_max + 1] == k)[0] + 1
-
     def mobius(self) -> np.ndarray:
-        """Moebius table mu[0..limit], built lazily and cached."""
-        if self._mobius is None:
-            mu = np.ones(self.limit + 1, dtype=np.int64)
-            mu[0] = 0
-            for p in self.primes:
-                mu[p::p] *= -1
-                pp = p * p
-                if pp <= self.limit:
-                    mu[pp::pp] = 0
-            self._mobius = mu
+        """Moebius table mu[0..limit] (mu[0] = 0)."""
         return self._mobius
 
 
@@ -83,22 +68,28 @@ def build_sieve(limit: int) -> FactorSieve:
     spf[untouched] = untouched
     spf[1] = 1
 
-    # strip one smallest prime factor per pass from every n not yet reduced to 1
+    # strip one smallest prime factor p per pass from every n not yet reduced
+    # to 1; p still dividing the rest marks a square factor (mu = 0), and the
+    # last copy of p multiplies phi by (1 - 1/p)
     omega = np.zeros(limit + 1, dtype=np.int64)
+    phi = np.arange(limit + 1, dtype=np.int64)
+    mu = np.ones(limit + 1, dtype=np.int64)
+    mu[0] = 0
     active = np.arange(2, limit + 1)
     rest = active.copy()
     while len(active):
         omega[active] += 1
-        rest //= spf[rest]
+        p = spf[rest]
+        rest //= p
+        again = rest % p == 0
+        mu[active[again]] = 0
+        last, p = active[~again], p[~again]
+        mu[last] = -mu[last]
+        phi[last] = phi[last] // p * (p - 1)
         keep = rest > 1
         active, rest = active[keep], rest[keep]
 
-    phi = np.arange(limit + 1, dtype=np.int64)
-    n = np.arange(2, limit + 1)
-    for p in n[spf[2:] == n]:
-        phi[p::p] -= phi[p::p] // p
-
-    return FactorSieve(limit=limit, omega=omega, spf=spf, phi=phi)
+    return FactorSieve(limit=limit, omega=omega, spf=spf, phi=phi, _mobius=mu)
 
 
 def gcd(a: int, b: int) -> int:

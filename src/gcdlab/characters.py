@@ -10,8 +10,7 @@ character at once) go through a length-(p-1) FFT over the dlog ordering.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -210,9 +209,6 @@ class WeightedCongruenceReport:
     majorant: float
     ratio: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def weighted_congruence_count(
     p: int, w: WeightVector, m: int, n: int
@@ -284,10 +280,6 @@ class BurgessReport:
     ratio: float
     pv_ratio: float
     t0max: float
-    seconds: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def burgess_scan(
@@ -303,7 +295,6 @@ def burgess_scan(
     The full scan over all M costs O(p N #chi); striding M over ceil(p/offsets)
     spacings keeps desk-scale runtime while preserving a meaningful maximum.
     """
-    t_start = time.perf_counter()
     table = build_table(p)
     if t0max is None:
         t0max = t0_max_profile(p, sieve)
@@ -330,5 +321,4 @@ def burgess_scan(
         ratio=best / env,
         pv_ratio=best / pv,
         t0max=t0max,
-        seconds=time.perf_counter() - t_start,
     )

@@ -2,9 +2,11 @@
 
 Every command emits its report rows to stdout (or --out) as JSON objects,
 one per line, or as CSV with a header.  Output is byte-deterministic for a
-fixed configuration: timing fields are suppressed unless --timings is given,
-CSV floats use 17 significant digits with '.' decimal, and JSON keys are
-sorted.  A key=value config file can preload any flag; explicit flags win.
+fixed configuration: the ``seconds`` field (the wall time of the report call,
+measured here; library reports carry no timing) is suppressed unless
+--timings is given, CSV floats use 17 significant digits with '.' decimal,
+and JSON keys are sorted.  A key=value config file can preload any flag;
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ import argparse
 import json
 import math
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
+from itertools import repeat
 
 import numpy as np
 
@@ -60,6 +65,14 @@ def _emit(rows: list[dict], fields: list[str], args, csv_headers: dict | None = 
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _timed_row(report_fn, *args, **kw) -> dict:
+    """The report of ``report_fn(*args, **kw)`` as a row, with its wall time as ``seconds``."""
+    t0 = time.perf_counter()
+    rep = report_fn(*args, **kw)
+    seconds = time.perf_counter() - t0
+    return {**asdict(rep), "seconds": seconds}
 
 
 def _spec_number(spec: str, convert):
@@ -138,9 +151,8 @@ def _cmd_gcdsum(args) -> None:
         w, _ = gcdsums.exact_minimize(args.n, kind, tol=args.tol)
     else:
         w = _parse_weights(args.weights, args.n, sieve)
-    rep = gcdsums.normalized_ratio(w, kind, sieve, evaluator=args.evaluator)
+    row = _timed_row(gcdsums.normalized_ratio, w, kind, sieve, evaluator=args.evaluator)
     _dump_weights(args, w)
-    row = rep.as_dict()
     _emit([row], ["n", "kind", "weight_desc", "raw", "ratio", "seconds"], args,
           csv_headers={"n": "N"})
 
@@ -148,9 +160,9 @@ def _cmd_gcdsum(args) -> None:
 def _cmd_energy(args) -> None:
     sieve = build_sieve(args.n)
     w = _parse_weights(args.weights, args.n, sieve)
-    rep = energy_mod.energy_ratio(w, evaluator=args.evaluator)
+    row = _timed_row(energy_mod.energy_ratio, w, evaluator=args.evaluator)
     _dump_weights(args, w)
-    _emit([rep.as_dict()], ["n", "weight_desc", "energy", "ratio", "evaluator", "seconds"],
+    _emit([row], ["n", "weight_desc", "energy", "ratio", "evaluator", "seconds"],
           args, csv_headers={"n": "N"})
 
 
@@ -190,9 +202,10 @@ def _cmd_burgess(args) -> None:
         raise InvalidArgumentError("p must be prime")
     n = args.n if args.n else int(args.p ** (0.5 + 1.0 / (4 * args.r)))
     sieve = build_sieve(args.p)
-    rep = burgess_scan(args.p, n, args.r, sieve, t0max=args.t0max, offsets=args.offsets)
+    row = _timed_row(burgess_scan, args.p, n, args.r, sieve, t0max=args.t0max,
+                     offsets=args.offsets)
     _emit(
-        [rep.as_dict()],
+        [row],
         ["p", "r", "n", "a_param", "b_param", "max_sum", "envelope", "ratio", "pv_ratio", "t0max", "seconds"],
         args,
         csv_headers={"n": "N", "a_param": "A", "b_param": "B", "max_sum": "maxS"},
@@ -205,8 +218,7 @@ def _theta_row(p: int, x: float, weights: str, threshold: float) -> dict:
         w = all_ones(max(cutoff, 1))
     else:
         w = _parse_weights(weights, cutoff, build_sieve(max(cutoff, 3)))
-    rep = theta_mod.moment_report(p, x, w, threshold=threshold)
-    return rep.as_dict()
+    return _timed_row(theta_mod.moment_report, p, x, w, threshold=threshold)
 
 
 def _cmd_theta(args) -> None:
@@ -216,26 +228,22 @@ def _cmd_theta(args) -> None:
     ]
     if args.scan is not None:
         primes = [p for p in range(5, args.scan + 1) if is_prime(p)]
-        tasks = [(p, args.x, args.weights, args.threshold) for p in primes]
+        rest = repeat(args.x), repeat(args.weights), repeat(args.threshold)
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_theta_task, tasks))
+                rows = list(pool.map(_theta_row, primes, *rest))
         else:
-            rows = [_theta_task(t) for t in tasks]
+            rows = list(map(_theta_row, primes, *rest))
         _emit(rows, fields, args)
     else:
         _emit([_theta_row(args.p, args.x, args.weights, args.threshold)], fields, args)
-
-
-def _theta_task(task) -> dict:
-    return _theta_row(*task)
 
 
 def _cmd_moments(args) -> None:
     sieve = build_sieve(max(args.n, 3))
     w = _parse_weights(args.weights, args.n, sieve)
     r_values = [args.r] if args.r is not None else [1.4, 1.5, 1.75, 1.9]
-    rows = [small_moments.holder_chain_check(args.p, args.n, r, w, sieve).as_dict()
+    rows = [_timed_row(small_moments.holder_chain_check, args.p, args.n, r, w, sieve)
             for r in r_values]
     _emit(
         rows,

@@ -17,8 +17,7 @@ feasible and is cross-validated against the other three in the tests.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -55,10 +54,6 @@ class EnergyReport:
     energy: float
     ratio: float
     evaluator: str
-    seconds: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check_weights(w: WeightVector) -> None:
@@ -244,7 +239,6 @@ def energy_level_exact(sieve: FactorSieve, n: int, k: int):
 def energy_ratio(w: WeightVector, evaluator: str = "auto") -> EnergyReport:
     """N**2 * energy / l1(w)**4 with the evaluator recorded."""
     _check_weights(w)
-    t0 = time.perf_counter()
     if evaluator == "auto":
         evaluator = "histogram" if len(w.support) ** 2 <= PAIR_BUDGET else "parametrized"
     fn = {
@@ -263,7 +257,6 @@ def energy_ratio(w: WeightVector, evaluator: str = "auto") -> EnergyReport:
         energy=float(e),
         ratio=ratio,
         evaluator=evaluator,
-        seconds=time.perf_counter() - t0,
     )
 
 

@@ -15,8 +15,7 @@ and the test suite enforces that.
 from __future__ import annotations
 
 import enum
-import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -59,10 +58,6 @@ class GcdSumReport:
     weight_desc: str
     raw: float
     ratio: float
-    seconds: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _kernel_block(si: np.ndarray, sj: np.ndarray, kind: Kernel) -> np.ndarray:
@@ -177,7 +172,6 @@ def normalized_ratio(
     evaluator: str = "direct",
 ) -> GcdSumReport:
     """N * form / l1(w)**2, packaged with the run metadata."""
-    t0 = time.perf_counter()
     raw = gcd_quadratic_form(w, kind, sieve, evaluator=evaluator)
     l1 = w.l1()
     ratio = w.limit * raw / (l1 * l1)
@@ -187,7 +181,6 @@ def normalized_ratio(
         weight_desc=w.label,
         raw=raw,
         ratio=ratio,
-        seconds=time.perf_counter() - t0,
     )
 
 

@@ -9,8 +9,7 @@ turns the chain into a lower-bound device for the r-th moment.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,10 +118,6 @@ class HolderChainReport:
     slack: float
     lower_bound: float
     lhs_closed_form: float
-    seconds: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def holder_chain_check(
@@ -140,7 +135,6 @@ def holder_chain_check(
     with E(N) the level-minimized energy ratio (no constant asserted), and
     the orthogonality closed form of the lhs, l1(w) (1 - N/(p-1)).
     """
-    t0 = time.perf_counter()
     exps = HolderExponents(r)  # validates the r range
     # the chain inequality itself only needs N < p; N < sqrt(p) is required
     # only where the fourth moment is traded for the energy (mollified_fourth)
@@ -173,5 +167,4 @@ def holder_chain_check(
         slack=rhs - lhs,
         lower_bound=lower,
         lhs_closed_form=w.l1() * (1.0 - n / (p - 1.0)),
-        seconds=time.perf_counter() - t0,
     )

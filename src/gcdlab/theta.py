@@ -10,8 +10,7 @@ exact vanishing.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,18 +77,6 @@ class ThetaValue:
         if self.tail_bound >= 1e-15 * max(1.0, abs(self.value)):
             raise InvalidArgumentError("truncation tail is not certified below 1e-15")
 
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "index": self.index,
-            "x": self.x,
-            "re": self.value.real,
-            "im": self.value.imag,
-            "abs": abs(self.value),
-            "n_max": self.n_max,
-            "tail_bound": self.tail_bound,
-        }
-
 
 def theta(chi: Character, x: float) -> ThetaValue:
     """Truncated theta value of one character, with certified tail."""
@@ -148,10 +135,6 @@ class MomentReport:
     holder_slack: float
     threshold: float
     tail_bound: float
-    seconds: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def moment_report(
@@ -167,7 +150,6 @@ def moment_report(
     identity (p-1)/2 * energy(floor(sqrt(p/3)), w); the two must agree to
     1e-6 relative.
     """
-    t0 = time.perf_counter()
     if w.l1() <= 0:
         raise InvalidArgumentError("weight vector must have positive l1 norm")
     if table is None:
@@ -198,7 +180,6 @@ def moment_report(
         holder_slack=slack,
         threshold=threshold,
         tail_bound=tail,
-        seconds=time.perf_counter() - t0,
     )
 
 
@@ -233,9 +214,6 @@ class LowerBoundReport:
     floor: float
     m0_observed: int
     energy_ratio: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def lower_bound_report(p: int, x: float, sieve: FactorSieve) -> LowerBoundReport:

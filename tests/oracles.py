@@ -32,6 +32,11 @@ def trial_phi(n: int) -> int:
     return sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
 
 
+def trial_mobius(n: int) -> int:
+    f = trial_factorization(n)
+    return 0 if len(set(f)) < len(f) else (-1) ** len(f)
+
+
 def gcd_form_direct(weights: dict[int, float], kind: str) -> float:
     total = 0.0
     for m1, w1 in weights.items():

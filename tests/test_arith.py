@@ -6,7 +6,7 @@ import pytest
 from gcdlab.arith import build_sieve, gcd, is_prime
 from gcdlab.errors import InvalidArgumentError
 
-from oracles import trial_omega, trial_phi, trial_spf
+from oracles import trial_factorization, trial_mobius, trial_omega, trial_phi, trial_spf
 
 
 def test_build_sieve_rejects_zero():
@@ -34,6 +34,17 @@ def test_sieve_matches_trial_division_exhaustive(sieve_small):
         assert s.spf[n] == trial_spf(n)
     for n in range(1, 300):
         assert s.phi[n] == trial_phi(n)
+    mu = s.mobius()
+    for n in range(1, 10_001):
+        primes = set(trial_factorization(n))
+        assert s.phi[n] == n // math.prod(primes) * math.prod(p - 1 for p in primes)
+        assert mu[n] == trial_mobius(n)
+    # the smallest sieves are prefixes of the checked one
+    for limit in (1, 2):
+        tiny = build_sieve(limit)
+        for table in ("omega", "spf", "phi"):
+            assert getattr(tiny, table).tolist() == getattr(s, table)[: limit + 1].tolist()
+        assert tiny.mobius().tolist() == mu[: limit + 1].tolist()
 
 
 def test_sieve_matches_trial_division_random(sieve_big):

@@ -159,11 +159,35 @@ def test_out_file(tmp_path):
     assert json.loads(path.read_text())["energy"] == 15.0
 
 
-def test_timings_flag_adds_field():
-    out = run_cli("energy", "--n", "3")
-    assert "seconds" not in json.loads(out)
-    out = run_cli("energy", "--n", "3", "--timings")
-    assert "seconds" in json.loads(out)
+TIMED_COMMANDS = {
+    "gcdsum": ["gcdsum", "--n", "30"],
+    "energy": ["energy", "--n", "3"],
+    "burgess": ["burgess", "--p", "1009", "--t0max", "2.5", "--offsets", "16"],
+    "theta": ["theta", "--p", "331", "--weights", "level:1"],
+    "theta-scan": ["theta", "--scan", "30", "--jobs", "2"],
+    "moments": ["moments", "--p", "499", "--n", "15"],
+}
+
+
+def _rows(out: str, fmt: str) -> list[dict]:
+    if fmt == "json":
+        return [json.loads(line) for line in out.splitlines()]
+    header, *lines = out.splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", list(TIMED_COMMANDS))
+def test_timings_flag_adds_field(command, fmt):
+    argv = TIMED_COMMANDS[command] + ["--format", fmt]
+    plain = _rows(run_cli(*argv), fmt)
+    timed = _rows(run_cli(*argv, "--timings"), fmt)
+    assert plain and len(timed) == len(plain)
+    for row, timed_row in zip(plain, timed):
+        assert "seconds" not in row
+        seconds = timed_row.pop("seconds")
+        assert float(seconds) >= 0 and (fmt == "csv" or isinstance(seconds, float))
+        assert list(timed_row.items()) == list(row.items())
 
 
 def test_theta_scan_jobs():
