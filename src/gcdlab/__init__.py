@@ -2,7 +2,7 @@
 energy, with applications to short character sums, theta non-vanishing
 counts, and low moments of character sums."""
 
-from .arith import FactorSieve, build_sieve, gcd, is_prime
+from .arith import FactorSieve, build_sieve, is_prime
 from .energy import (
     EnergyReport,
     asym_energy,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-__all__ = ["FactorSieve", "build_sieve", "gcd", "is_prime"]
+__all__ = ["FactorSieve", "build_sieve", "is_prime"]
 
 
 @dataclass
@@ -90,13 +90,6 @@ def build_sieve(limit: int) -> FactorSieve:
         active, rest = active[keep], rest[keep]
 
     return FactorSieve(limit=limit, omega=omega, spf=spf, phi=phi, _mobius=mu)
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two positive integers."""
-    if a < 1 or b < 1:
-        raise InvalidArgumentError("gcd arguments must be >= 1")
-    return math.gcd(a, b)
 
 
 # Witness set proven sufficient for every n < 3.3e24, well past 2**63.

@@ -98,10 +98,6 @@ class Character:
         # chi(-1) = zeta^(a (p-1)/2) = (-1)^a
         return self.index % 2 == 0
 
-    @property
-    def is_real(self) -> bool:
-        return (2 * self.index) % (self.p - 1) == 0
-
     def values(self) -> np.ndarray:
         """chi(n) for n = 0..p-1 as one complex array."""
         t = self.table

@@ -17,7 +17,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import repeat
 
 import numpy as np
@@ -26,7 +26,7 @@ from . import energy as energy_mod
 from . import exponents, gcdsums, small_moments
 from . import theta as theta_mod
 from .arith import build_sieve, is_prime
-from .characters import build_table, burgess_scan, char_sum, weil_moment_check
+from .characters import BurgessReport, build_table, burgess_scan, char_sum, weil_moment_check
 from .errors import GcdLabError, InvalidArgumentError
 from .weights import (
     WeightVector,
@@ -75,6 +75,11 @@ def _timed_row(report_fn, *args, **kw) -> dict:
     return {**asdict(rep), "seconds": seconds}
 
 
+def _columns(report_cls) -> list[str]:
+    """The fields of a report dataclass, in order, then the ``seconds`` of ``_timed_row``."""
+    return [f.name for f in fields(report_cls)] + ["seconds"]
+
+
 def _spec_number(spec: str, convert):
     """The number after the ':' of a weight spec, read with ``convert``."""
     try:
@@ -120,21 +125,8 @@ def _parse_weights(spec: str, n: int, sieve) -> WeightVector:
 
 
 def _cmd_constants(args) -> None:
-    c = exponents.delta_constants(tol=args.tol)
-    row = {
-        "kappa_star_gcd": c.kappa_star_gcd,
-        "delta0": c.delta0,
-        "second_branch": c.second_branch,
-        "kappa_two": c.kappa_two,
-        "q_one_plus_kappa_two": c.q_one_plus_kappa_two,
-        "kappa_star_energy": c.kappa_star_energy,
-        "delta": c.delta,
-        "delta_closed_form": c.delta_closed_form,
-        "alpha": c.alpha,
-        "q_two": c.q_two,
-        "tol": c.tol,
-    }
-    row.update({f"residual_{k}": v for k, v in c.residuals.items()})
+    row = asdict(exponents.delta_constants(tol=args.tol))
+    row.update({f"residual_{k}": v for k, v in row.pop("residuals").items()})
     _emit([row], list(row), args)
 
 
@@ -153,8 +145,7 @@ def _cmd_gcdsum(args) -> None:
         w = _parse_weights(args.weights, args.n, sieve)
     row = _timed_row(gcdsums.normalized_ratio, w, kind, sieve, evaluator=args.evaluator)
     _dump_weights(args, w)
-    _emit([row], ["n", "kind", "weight_desc", "raw", "ratio", "seconds"], args,
-          csv_headers={"n": "N"})
+    _emit([row], _columns(gcdsums.GcdSumReport), args, csv_headers={"n": "N"})
 
 
 def _cmd_energy(args) -> None:
@@ -162,8 +153,7 @@ def _cmd_energy(args) -> None:
     w = _parse_weights(args.weights, args.n, sieve)
     row = _timed_row(energy_mod.energy_ratio, w, evaluator=args.evaluator)
     _dump_weights(args, w)
-    _emit([row], ["n", "weight_desc", "energy", "ratio", "evaluator", "seconds"],
-          args, csv_headers={"n": "N"})
+    _emit([row], _columns(energy_mod.EnergyReport), args, csv_headers={"n": "N"})
 
 
 def _cmd_multable(args) -> None:
@@ -204,12 +194,8 @@ def _cmd_burgess(args) -> None:
     sieve = build_sieve(args.p)
     row = _timed_row(burgess_scan, args.p, n, args.r, sieve, t0max=args.t0max,
                      offsets=args.offsets)
-    _emit(
-        [row],
-        ["p", "r", "n", "a_param", "b_param", "max_sum", "envelope", "ratio", "pv_ratio", "t0max", "seconds"],
-        args,
-        csv_headers={"n": "N", "a_param": "A", "b_param": "B", "max_sum": "maxS"},
-    )
+    _emit([row], _columns(BurgessReport), args,
+          csv_headers={"n": "N", "a_param": "A", "b_param": "B", "max_sum": "maxS"})
 
 
 def _theta_row(p: int, x: float, weights: str, threshold: float) -> dict:
@@ -222,10 +208,7 @@ def _theta_row(p: int, x: float, weights: str, threshold: float) -> dict:
 
 
 def _cmd_theta(args) -> None:
-    fields = [
-        "p", "x", "weight_desc", "m1_real", "m1_abs", "m2", "m4_direct",
-        "m4_identity", "m0_count", "holder_slack", "threshold", "tail_bound", "seconds",
-    ]
+    cols = _columns(theta_mod.MomentReport)
     if args.scan is not None:
         primes = [p for p in range(5, args.scan + 1) if is_prime(p)]
         rest = repeat(args.x), repeat(args.weights), repeat(args.threshold)
@@ -234,9 +217,9 @@ def _cmd_theta(args) -> None:
                 rows = list(pool.map(_theta_row, primes, *rest))
         else:
             rows = list(map(_theta_row, primes, *rest))
-        _emit(rows, fields, args)
+        _emit(rows, cols, args)
     else:
-        _emit([_theta_row(args.p, args.x, args.weights, args.threshold)], fields, args)
+        _emit([_theta_row(args.p, args.x, args.weights, args.threshold)], cols, args)
 
 
 def _cmd_moments(args) -> None:
@@ -245,13 +228,8 @@ def _cmd_moments(args) -> None:
     r_values = [args.r] if args.r is not None else [1.4, 1.5, 1.75, 1.9]
     rows = [_timed_row(small_moments.holder_chain_check, args.p, args.n, r, w, sieve)
             for r in r_values]
-    _emit(
-        rows,
-        ["p", "n", "r", "s1", "s2", "sr", "m4", "slack", "lower_bound",
-         "lhs", "rhs", "lhs_closed_form", "seconds"],
-        args,
-        csv_headers={"n": "N", "s1": "S1", "s2": "S2", "sr": "Sr", "m4": "M4"},
-    )
+    _emit(rows, _columns(small_moments.HolderChainReport), args,
+          csv_headers={"n": "N", "s1": "S1", "s2": "S2", "sr": "Sr", "m4": "M4"})
 
 
 def _check_gcd(rng) -> list[str]:

@@ -248,7 +248,7 @@ def exact_minimize(
             step = step_max if curv <= 0 else min(step_max, 0.5 * gap / curv)
             w *= 1.0 - step
             w[i_fw] += step
-            Kw = (1.0 - step) * Kw + step * K[:, i_fw]
+            Kw = (1.0 - step) * Kw + step * K[i_fw]  # K is symmetric; a row is contiguous
         else:
             a = w[i_aw]
             step_max = a / (1.0 - a) if a < 1.0 else np.inf
@@ -258,7 +258,7 @@ def exact_minimize(
             w[i_aw] -= step
             if w[i_aw] < 1e-17:  # drop step: clear the vertex exactly
                 w[i_aw] = 0.0
-            Kw = (1.0 + step) * Kw - step * K[:, i_aw]
+            Kw = (1.0 + step) * Kw - step * K[i_aw]
     else:
         best = WeightVector(n, np.concatenate([[0.0], w]), label="optimal-qp(unconverged)")
         raise ConvergenceError(
@@ -274,11 +274,9 @@ def exact_minimize(
 
 def _level_ratio(sieve: FactorSieve, n: int, k: int, kind: Kernel) -> float:
     w = omega_level_weights(sieve, n, k)
-    l1 = w.l1()
-    use_grouped = kind is Kernel.T1 and len(w.support) > 1500
-    raw = gcd_quadratic_form(w, kind, sieve if use_grouped else None,
-                             evaluator="grouped" if use_grouped else "direct")
-    return n * raw / (l1 * l1)
+    # T0 stays direct: grouped is faster there but moves t0_max_profile's last digits
+    evaluator = "direct" if kind is Kernel.T0 else "grouped"
+    return normalized_ratio(w, kind, sieve, evaluator=evaluator).ratio
 
 
 def minimize_over_levels(n: int, kind: Kernel, sieve: FactorSieve) -> tuple[int, float]:

@@ -113,10 +113,10 @@ class HolderChainReport:
     s2: float
     sr: float
     m4: float
-    lhs: float
-    rhs: float
     slack: float
     lower_bound: float
+    lhs: float
+    rhs: float
     lhs_closed_form: float
 
 

@@ -55,12 +55,12 @@ class WeightVector:
     def scaled(self, c: float) -> "WeightVector":
         return WeightVector(self.limit, self.values * c, label=f"{self.label}*{c:g}")
 
-    def csv_lines(self, include_zero: bool = False) -> list[str]:
-        """Serialize as "m,w(m)" lines (support only by default)."""
+    def csv_lines(self) -> list[str]:
+        """Serialize the support as "m,w(m)" lines."""
         out = []
         for m in range(1, self.limit + 1):
             v = self.values[m]
-            if v or include_zero:
+            if v:
                 out.append(f"{m},{v:.17g}" if not self.is_integral else f"{m},{int(v)}")
         return out
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gcdlab.arith import build_sieve, gcd, is_prime
+from gcdlab.arith import build_sieve, is_prime
 from gcdlab.errors import InvalidArgumentError
 
 from oracles import trial_factorization, trial_mobius, trial_omega, trial_phi, trial_spf
@@ -84,16 +84,6 @@ def test_omega_detects_primes(sieve_small):
     s = sieve_small
     for n in range(2, 3000):
         assert (s.omega[n] == 1) == is_prime(n)
-
-
-def test_gcd_examples():
-    assert gcd(1, 17) == 1
-    assert gcd(12, 18) == 6
-    assert gcd(7, 13) == 1
-    assert gcd(5, 5) == 5
-    assert gcd(12, 18) == gcd(18, 12)
-    with pytest.raises(InvalidArgumentError):
-        gcd(0, 5)
 
 
 def test_is_prime_examples():

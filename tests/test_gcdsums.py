@@ -73,8 +73,11 @@ def test_forms_match_python_oracle():
 
 def test_grouped_equals_direct(sieve_small):
     rng = np.random.default_rng(5)
-    for n in (2, 17, 100, 700, 2000):
-        w = _random_weights(rng, n, density=0.3)
+    inputs = [_random_weights(rng, n, density=0.3) for n in (2, 17, 100, 700, 2000)]
+    # every nonempty Omega-level at N = 4096 (supports 1..1124), as the level sweeps see them
+    inputs += [omega_level_weights(sieve_small, 4096, int(k))
+               for k in np.unique(sieve_small.omega[1:4097])]
+    for w in inputs:
         for kind in (Kernel.T0, Kernel.T1):
             direct = gcd_quadratic_form(w, kind)
             grouped = gcd_quadratic_form(w, kind, sieve_small, evaluator="grouped")
