@@ -259,8 +259,8 @@ def burgess_envelope(n: int, p: int, r: int, t0max: float) -> float:
         raise DomainError("need r >= 2")
     if n > p ** (0.5 + 1.0 / (4 * r)):
         raise DomainError("hypothesis N <= p^(1/2 + 1/(4r)) violated")
-    if t0max <= 0:
-        raise InvalidArgumentError("t0max must be positive")
+    if not (math.isfinite(t0max) and t0max > 0):
+        raise InvalidArgumentError("t0max must be finite and positive")
     return n ** (1 - 1.0 / r) * p ** ((r + 1) / (4.0 * r * r)) * t0max ** (1.0 / (2 * r))
 
 
@@ -291,6 +291,8 @@ def burgess_scan(
     The full scan over all M costs O(p N #chi); striding M over ceil(p/offsets)
     spacings keeps desk-scale runtime while preserving a meaningful maximum.
     """
+    if n < 1 or offsets < 1:
+        raise InvalidArgumentError("need N >= 1 and offsets >= 1")
     table = build_table(p)
     if t0max is None:
         t0max = t0_max_profile(p, sieve)

@@ -190,7 +190,7 @@ def _cmd_charsum(args) -> None:
 def _cmd_burgess(args) -> None:
     if not is_prime(args.p):
         raise InvalidArgumentError("p must be prime")
-    n = args.n if args.n else int(args.p ** (0.5 + 1.0 / (4 * args.r)))
+    n = args.n if args.n is not None else int(args.p ** (0.5 + 1.0 / (4 * args.r)))
     sieve = build_sieve(args.p)
     row = _timed_row(burgess_scan, args.p, n, args.r, sieve, t0max=args.t0max,
                      offsets=args.offsets)

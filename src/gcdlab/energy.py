@@ -43,7 +43,7 @@ __all__ = [
 
 QUADRUPLE_LIMIT = 300
 PAIR_BUDGET = 1 << 26
-# (e, q) pairs per np.bincount in energy_level_exact
+# longest (e, q) piece that energy_level_exact adds in one step
 _BATCH = 1 << 18
 
 
@@ -172,19 +172,6 @@ def _pair_pieces(es: np.ndarray, n: int):
             yield e, np.full(len(e), q)
 
 
-def _pair_batches(es: np.ndarray, n: int):
-    """The pieces of ``_pair_pieces`` joined into batches of at most _BATCH pairs."""
-    e_parts, q_parts, size = [], [], 0
-    for e, q in _pair_pieces(es, n):
-        if size + len(e) > _BATCH:
-            yield np.concatenate(e_parts), np.concatenate(q_parts)
-            e_parts, q_parts, size = [], [], 0
-        e_parts.append(e)
-        q_parts.append(q)
-        size += len(e)
-    yield np.concatenate(e_parts), np.concatenate(q_parts)
-
-
 def energy_level_exact(sieve: FactorSieve, n: int, k: int):
     """Exact energy of the level-k indicator via inclusion-exclusion.
 
@@ -198,8 +185,9 @@ def energy_level_exact(sieve: FactorSieve, n: int, k: int):
     the rows t <= k as int32, (k+1)(N+1)*4 bytes (88 MB at N = 2**20,
     k = 20).  The pairs (e, q = m/e) with e squarefree, Omega(e) <= k and
     e*q <= N (9.1M of them for k = 3 at N = 2**20) come from a hyperbola
-    split and are summed into coprime_below with one ``np.bincount`` per
-    batch of at most _BATCH pairs.
+    split.  Each piece fixes e or q, so its products m = e*q are distinct
+    and the piece is added into coprime_below in place, with no temporary
+    of length N + 1.
     """
     if n < 1 or n > sieve.limit:
         raise InvalidArgumentError("need 1 <= N <= sieve.limit")
@@ -214,23 +202,18 @@ def energy_level_exact(sieve: FactorSieve, n: int, k: int):
     # candidates for the coprimality unfolding: squarefree e with Omega <= k
     es = np.nonzero((mu[: n + 1] != 0) & (om <= k))[0]
     coprime_below = np.zeros(n + 1, dtype=np.float64)
-    for e, q in _pair_batches(es, n):
+    for e, q in _pair_pieces(es, n):
         m = e * q
         keep = om[m] <= k
         e, q, m = e[keep], q[keep], m[keep]
         # e | m, so Omega(m) - Omega(e) >= 0, and (m - 1) // e = q - 1
-        coprime_below += np.bincount(
-            m, weights=mu[e] * cnt[om[m] - om[e], q - 1], minlength=n + 1
-        )
-    total = 0.0
-    ms_all = np.arange(2, n + 1)
-    j_all = om[ms_all]
-    for j in range(0, k + 1):
-        ms = ms_all[j_all == j]
-        f = cnt[k - j, n // ms].astype(np.float64)
-        total += 2.0 * float(f * f @ coprime_below[ms])
-    pk = int(cnt[k, n])
-    total += float(pk) * pk
+        coprime_below[m] += mu[e] * cnt[om[m] - om[e], q - 1]
+    ms = np.nonzero(om[2:] <= k)[0] + 2
+    f = cnt[k - om[ms], n // ms].astype(np.float64)
+    pk = float(cnt[k, n])
+    # nonnegative integer terms: exact in any order below the guard; a numpy
+    # sum, not a BLAS dot, whose worker threads spin for no wall-time gain
+    total = 2.0 * float((f * f * coprime_below[ms]).sum()) + pk * pk
     if total >= 2.0**53:
         raise ResourceLimitError("energy exceeds exact float64 integer range")
     return int(total)

@@ -138,6 +138,8 @@ def holder_chain_check(
     exps = HolderExponents(r)  # validates the r range
     # the chain inequality itself only needs N < p; N < sqrt(p) is required
     # only where the fourth moment is traded for the energy (mollified_fourth)
+    if n < 1:
+        raise InvalidArgumentError("need N >= 1")
     if n >= p:
         raise DomainError("need N < p")
     table = build_table(p)

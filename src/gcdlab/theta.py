@@ -16,8 +16,8 @@ import numpy as np
 
 from .arith import FactorSieve
 from .characters import Character, CharacterTable, all_mollifiers, build_table
-from .energy import energy_histogram, minimize_energy_over_levels
-from .errors import InvalidArgumentError
+from .energy import PAIR_BUDGET, energy_histogram, minimize_energy_over_levels
+from .errors import InvalidArgumentError, ResourceLimitError
 from .weights import WeightVector, omega_level_weights
 
 __all__ = [
@@ -53,9 +53,12 @@ def even_characters(table: CharacterTable) -> list[Character]:
 
 def theta_truncation(p: int, x: float) -> int:
     """Summation length guaranteeing a tail below 10**-17 / p."""
-    if x <= 0:
-        raise InvalidArgumentError("x must be positive")
-    return math.ceil(math.sqrt(p * (TARGET_DIGITS * math.log(10) + math.log(p)) / (math.pi * x)))
+    if not (math.isfinite(x) and x > 0):
+        raise InvalidArgumentError("x must be finite and positive")
+    length = math.sqrt(p * (TARGET_DIGITS * math.log(10) + math.log(p)) / (math.pi * x))
+    if length > PAIR_BUDGET:
+        raise ResourceLimitError(f"theta needs {length:.3g} terms, above budget {PAIR_BUDGET}")
+    return math.ceil(length)
 
 
 def theta_tail_bound(p: int, x: float, n0: int) -> float:
@@ -155,7 +158,7 @@ def moment_report(
     if table is None:
         table = build_table(p)
     thetas, _, tail = all_even_thetas(table, x)
-    if threshold <= tail:
+    if not threshold > tail:  # also rejects a NaN threshold
         raise InvalidArgumentError("threshold must exceed the certified tail bound")
     cutoff = mollifier_cutoff(p)
     if w.limit > cutoff:
@@ -201,7 +204,7 @@ def nonvanishing_count(p: int, x: float, threshold: float = DEFAULT_THRESHOLD) -
     """Number of even characters with |theta(x, chi)| above the threshold."""
     table = build_table(p)
     thetas, _, tail = all_even_thetas(table, x)
-    if threshold <= tail:
+    if not threshold > tail:  # also rejects a NaN threshold
         raise InvalidArgumentError("threshold must exceed the certified tail bound")
     return int((np.abs(thetas) > threshold).sum())
 

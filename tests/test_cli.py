@@ -1,8 +1,16 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gcdlab import cli
+from gcdlab.arith import is_prime
+from gcdlab.errors import GcdLabError
 
 RUN = [sys.executable, "-m", "gcdlab.cli"]
 
@@ -198,17 +206,32 @@ def test_theta_scan_jobs():
     assert len(lines) == 1 + len([p for p in (5, 7, 11, 13, 17, 19, 23, 29) ])
 
 
-@pytest.mark.parametrize("args, expect", [
-    (["theta"], 2),
-    (["multable"], 2),
-    (["multable", "--powers", "0"], 1),
-    (["energy", "--n", "3", "--config"], 2),
-    (["energy", "--n", "10", "--weights", "level:abc"], 1),
-    (["energy", "--n", "10", "--weights", "level-kappa:abc"], 1),
-    (["energy", "--n", "10", "--weights", "level-kappa:nan"], 1),
-    (["energy", "--n", "6", "--weights", "indicator-file:{bad}"], 1),
-])
-def test_bad_input_exits_without_traceback(tmp_path, args, expect):
+BAD_INPUTS = [
+    (["theta"], 2, None),
+    (["multable"], 2, None),
+    (["multable", "--powers", "0"], 1, "InvalidArgumentError"),
+    (["energy", "--n", "3", "--config"], 2, None),
+    (["energy", "--n", "10", "--weights", "level:abc"], 1, "InvalidArgumentError"),
+    (["energy", "--n", "10", "--weights", "level-kappa:abc"], 1, "InvalidArgumentError"),
+    (["energy", "--n", "10", "--weights", "level-kappa:nan"], 1, "InvalidArgumentError"),
+    (["energy", "--n", "6", "--weights", "indicator-file:{bad}"], 1, "InvalidArgumentError"),
+    (["burgess", "--p", "10007", "--offsets", "0"], 1, "InvalidArgumentError"),
+    (["burgess", "--p", "101", "--offsets", "-1"], 1, "InvalidArgumentError"),
+    (["burgess", "--p", "101", "--n", "0", "--t0max", "2"], 1, "InvalidArgumentError"),
+    (["burgess", "--p", "101", "--t0max", "nan"], 1, "InvalidArgumentError"),
+    (["burgess", "--p", "101", "--t0max", "inf"], 1, "InvalidArgumentError"),
+    (["moments", "--p", "101", "--n", "0"], 1, "InvalidArgumentError"),
+    (["theta", "--p", "331", "--x", "nan"], 1, "InvalidArgumentError"),
+    (["theta", "--p", "331", "--x", "1e-300"], 1, "ResourceLimitError"),
+    (["theta", "--p", "331", "--x", "inf"], 1, "InvalidArgumentError"),
+    (["theta", "--p", "331", "--threshold", "nan"], 1, "InvalidArgumentError"),
+]
+
+
+# ids name the row and its exit code; the error type is checked, not named
+@pytest.mark.parametrize("args, expect, etype", BAD_INPUTS,
+                         ids=[f"args{i}-{expect}" for i, (_, expect, _) in enumerate(BAD_INPUTS)])
+def test_bad_input_exits_without_traceback(tmp_path, args, expect, etype):
     bad = tmp_path / "bad.csv"
     bad.write_text("2,1\n3;1\n")
     proc = subprocess.run(RUN + [a.format(bad=bad) for a in args],
@@ -221,10 +244,69 @@ def test_bad_input_exits_without_traceback(tmp_path, args, expect):
     (line,) = proc.stdout.splitlines()
     err = json.loads(line)
     assert set(err) == {"error", "type"}
-    assert err["type"] == "InvalidArgumentError"
+    assert err["type"] == etype
     if "indicator-file" in args[-1]:
         assert "line 2" in err["error"]
 
 
 def test_theta_scan_without_primes():
     assert run_cli("theta", "--scan", "0", "--format", "csv").startswith("p,x,weight_desc")
+
+
+_INTS = st.integers(-2, 400).map(str)
+_PRIMES = st.sampled_from([p for p in range(2, 2000) if is_prime(p)]).map(str)
+_FLOATS = st.sampled_from(["nan", "inf", "-1", "0", "1e-300", "0.5", "1", "1.5"])
+_WEIGHTS = st.one_of(
+    st.sampled_from(["ones", "tail", "optimal-qp", "bogus"]),
+    _INTS.map("level:{}".format),
+    _FLOATS.map("level-kappa:{}".format),
+)
+
+
+def _flags(**options):
+    """Any subset of the optional flags, in a drawn order, each with a drawn value."""
+    pairs = st.tuples(*(st.tuples(st.just(f"--{k}"), v) for k, v in options.items()))
+    return pairs.flatmap(lambda ps: st.lists(st.sampled_from(ps), unique=True)).map(
+        lambda ps: [x for pair in ps for x in pair])
+
+
+# the quadruple evaluator (a naive O(N^3) oracle) and --powers above 10 (a
+# multiplication table of 2^POWERS) are left out: both are slow by design
+_ARGV = st.one_of(
+    st.tuples(st.just(["gcdsum", "--n"]), _INTS, _flags(
+        kind=st.sampled_from(["t0", "t1"]), weights=_WEIGHTS,
+        evaluator=st.sampled_from(["direct", "grouped"]))),
+    st.tuples(st.just(["energy", "--n"]), _INTS, _flags(
+        weights=_WEIGHTS, evaluator=st.sampled_from(["auto", "histogram", "parametrized"]))),
+    st.tuples(st.just(["multable"]), st.one_of(
+        _INTS.map(lambda n: ["--n", n]), st.integers(-2, 10).map(lambda e: ["--powers", str(e)]))),
+    st.tuples(st.just(["charsum", "--p"]), _PRIMES, st.just("--index"), _INTS,
+              st.just("--n"), _INTS, _flags(m=_INTS)),
+    st.tuples(st.just(["burgess", "--p"]), _PRIMES, _flags(
+        r=_INTS, n=_INTS, t0max=_FLOATS, offsets=_INTS)),
+    st.tuples(st.just(["theta", "--p"]), _PRIMES, _flags(
+        x=_FLOATS, weights=_WEIGHTS, threshold=_FLOATS)),
+    st.tuples(st.just(["moments", "--p"]), _PRIMES, st.just("--n"), _INTS,
+              _flags(r=_FLOATS, weights=_WEIGHTS)),
+).map(lambda parts: [a for part in parts for a in ([part] if isinstance(part, str) else part)])
+
+
+def _subclasses(cls):
+    return {cls.__name__}.union(*(_subclasses(c) for c in cls.__subclasses__()))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(argv=_ARGV, fmt=st.sampled_from(["json", "csv"]))
+def test_fuzzed_argv_ends_in_result_or_typed_error(argv, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv + ["--format", fmt])
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, argv
+    if code == 1:
+        (line,) = out.getvalue().splitlines()
+        assert json.loads(line)["type"] in _subclasses(GcdLabError) | {"OSError"}, argv
+    else:
+        assert code in (0, 2), argv

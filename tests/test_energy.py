@@ -153,7 +153,7 @@ def test_level_exact_matches_generic(sieve_small):
 
 
 def test_level_exact_small_batches(sieve_small, monkeypatch):
-    # a batch of 5 pairs: many bincount flushes, long pair pieces split up,
+    # pieces of at most 5 pairs: long pair pieces split into many in-place adds,
     # and at N = 900 the squarefree e = 30 = isqrt(N) on the seam of the split
     monkeypatch.setattr(energy_module, "_BATCH", 5)
     for n in (900, 1023):
