@@ -22,6 +22,7 @@ from .characters import (
     CharacterTable,
     build_table,
     burgess_envelope,
+    burgess_max_n,
     burgess_scan,
     char_sum,
     congruence_count,

@@ -32,6 +32,7 @@ __all__ = [
     "WeightedCongruenceReport",
     "lattice_count",
     "lattice_count_bound",
+    "burgess_max_n",
     "burgess_envelope",
     "burgess_scan",
     "BurgessReport",
@@ -253,11 +254,16 @@ def lattice_count_bound(p: int, a1: int, a2: int, n: int) -> float:
     return 1.0 + n / p + math.sqrt(n) * (a1 + a2) / (p * g) + math.sqrt(n) * g / (a1 + a2)
 
 
-def burgess_envelope(n: int, p: int, r: int, t0max: float) -> float:
-    """N^(1-1/r) p^((r+1)/(4 r^2)) t0max^(1/(2r)), under N <= p^(1/2+1/(4r))."""
+def burgess_max_n(p: int, r: int) -> float:
+    """p^(1/2+1/(4r)), the largest N the envelope admits; needs r >= 2."""
     if r < 2:
         raise DomainError("need r >= 2")
-    if n > p ** (0.5 + 1.0 / (4 * r)):
+    return p ** (0.5 + 1.0 / (4 * r))
+
+
+def burgess_envelope(n: int, p: int, r: int, t0max: float) -> float:
+    """N^(1-1/r) p^((r+1)/(4 r^2)) t0max^(1/(2r)), under N <= p^(1/2+1/(4r))."""
+    if n > burgess_max_n(p, r):
         raise DomainError("hypothesis N <= p^(1/2 + 1/(4r)) violated")
     if not (math.isfinite(t0max) and t0max > 0):
         raise InvalidArgumentError("t0max must be finite and positive")

@@ -26,8 +26,15 @@ from . import energy as energy_mod
 from . import exponents, gcdsums, small_moments
 from . import theta as theta_mod
 from .arith import build_sieve, is_prime
-from .characters import BurgessReport, build_table, burgess_scan, char_sum, weil_moment_check
-from .errors import GcdLabError, InvalidArgumentError
+from .characters import (
+    BurgessReport,
+    build_table,
+    burgess_max_n,
+    burgess_scan,
+    char_sum,
+    weil_moment_check,
+)
+from .errors import GcdLabError, InvalidArgumentError, ResourceLimitError
 from .weights import (
     WeightVector,
     all_ones,
@@ -161,6 +168,9 @@ def _cmd_multable(args) -> None:
     if args.powers is not None:
         if args.powers < 1:
             raise InvalidArgumentError("--powers must be >= 1")
+        if args.powers >= energy_mod.MULTABLE_LIMIT.bit_length():  # 2^POWERS > limit
+            raise ResourceLimitError(
+                f"multiplication table refuses N = 2^{args.powers} > {energy_mod.MULTABLE_LIMIT}")
         sizes = [2**e for e in range(1, args.powers + 1)]
     else:
         sizes = [args.n]
@@ -190,7 +200,7 @@ def _cmd_charsum(args) -> None:
 def _cmd_burgess(args) -> None:
     if not is_prime(args.p):
         raise InvalidArgumentError("p must be prime")
-    n = args.n if args.n is not None else int(args.p ** (0.5 + 1.0 / (4 * args.r)))
+    n = args.n if args.n is not None else int(burgess_max_n(args.p, args.r))
     sieve = build_sieve(args.p)
     row = _timed_row(burgess_scan, args.p, n, args.r, sieve, t0max=args.t0max,
                      offsets=args.offsets)
@@ -322,6 +332,8 @@ def _check_weights(rng) -> list[str]:
 
 
 def _cmd_check(args) -> None:
+    if args.seed < 0:
+        raise InvalidArgumentError("--seed must be >= 0")
     rng = np.random.default_rng(args.seed)
     suites = {
         "gcd": _check_gcd,

@@ -43,6 +43,8 @@ __all__ = [
 
 QUADRUPLE_LIMIT = 300
 PAIR_BUDGET = 1 << 26
+# multiplication_table_count makes about N^3 / 2^24 Python steps, 2^21 at this N
+MULTABLE_LIMIT = 1 << 15
 # longest (e, q) piece that energy_level_exact adds in one step
 _BATCH = 1 << 18
 
@@ -291,6 +293,8 @@ def multiplication_table_count(n: int) -> int:
     """A(N) = number of distinct products a*b with a, b <= N."""
     if n < 1:
         raise InvalidArgumentError("need N >= 1")
+    if n > MULTABLE_LIMIT:
+        raise ResourceLimitError(f"multiplication table refuses N > {MULTABLE_LIMIT}")
     # mark-and-count over the value range [1, N^2], one bitmap chunk at a time
     total = 0
     chunk = 1 << 24

@@ -123,8 +123,8 @@ def energy_upper_exponent(kappa: float) -> float:
 
 def bisect(f, lo: float, hi: float, tol: float = 1e-12, scan_step: float = 1e-3):
     """Bisection after a sign-change scan of [lo, hi] at ``scan_step``."""
-    if tol <= 0:
-        raise InvalidArgumentError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise InvalidArgumentError("tol must be finite and positive")
     a = lo
     fa = f(a)
     bracket = None
@@ -142,6 +142,8 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-12, scan_step: float = 1e-3)
     a, b, fa, fb = bracket
     while b - a > tol:
         m = 0.5 * (a + b)
+        if not a < m < b:  # a and b are adjacent floats: tol is below their spacing
+            break
         fm = f(m)
         if fa * fm <= 0.0:
             b, fb = m, fm

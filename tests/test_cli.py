@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcdlab import cli
+from gcdlab import cli, energy
 from gcdlab.arith import is_prime
 from gcdlab.errors import GcdLabError
 
@@ -225,6 +225,14 @@ BAD_INPUTS = [
     (["theta", "--p", "331", "--x", "1e-300"], 1, "ResourceLimitError"),
     (["theta", "--p", "331", "--x", "inf"], 1, "InvalidArgumentError"),
     (["theta", "--p", "331", "--threshold", "nan"], 1, "InvalidArgumentError"),
+    (["gcdsum", "--n", "10", "--weights", "optimal-qp", "--tol", "inf"], 1, "InvalidArgumentError"),
+    (["gcdsum", "--n", "10", "--weights", "optimal-qp", "--tol", "nan"], 1, "InvalidArgumentError"),
+    (["constants", "--tol", "inf"], 1, "InvalidArgumentError"),
+    (["constants", "--tol", "nan"], 1, "InvalidArgumentError"),
+    (["burgess", "--p", "101", "--r", "0"], 1, "DomainError"),
+    (["check", "gcd", "--seed", "-1"], 1, "InvalidArgumentError"),
+    (["gcdsum", "--n", "8193", "--weights", "optimal-qp"], 1, "ResourceLimitError"),
+    (["multable", "--powers", "20"], 1, "ResourceLimitError"),
 ]
 
 
@@ -270,8 +278,9 @@ def _flags(**options):
         lambda ps: [x for pair in ps for x in pair])
 
 
-# the quadruple evaluator (a naive O(N^3) oracle) and --powers above 10 (a
-# multiplication table of 2^POWERS) are left out: both are slow by design
+# the quadruple evaluator (a naive O(N^3) oracle) and --powers from 11 up to the
+# table's limit (a multiplication table of 2^POWERS) are left out: both are slow by design
+_POWERS_REFUSED = energy.MULTABLE_LIMIT.bit_length()
 _ARGV = st.one_of(
     st.tuples(st.just(["gcdsum", "--n"]), _INTS, _flags(
         kind=st.sampled_from(["t0", "t1"]), weights=_WEIGHTS,
@@ -279,7 +288,9 @@ _ARGV = st.one_of(
     st.tuples(st.just(["energy", "--n"]), _INTS, _flags(
         weights=_WEIGHTS, evaluator=st.sampled_from(["auto", "histogram", "parametrized"]))),
     st.tuples(st.just(["multable"]), st.one_of(
-        _INTS.map(lambda n: ["--n", n]), st.integers(-2, 10).map(lambda e: ["--powers", str(e)]))),
+        _INTS.map(lambda n: ["--n", n]),
+        st.one_of(st.integers(-2, 10), st.integers(_POWERS_REFUSED, 64)).map(
+            lambda e: ["--powers", str(e)]))),
     st.tuples(st.just(["charsum", "--p"]), _PRIMES, st.just("--index"), _INTS,
               st.just("--n"), _INTS, _flags(m=_INTS)),
     st.tuples(st.just(["burgess", "--p"]), _PRIMES, _flags(
@@ -288,6 +299,7 @@ _ARGV = st.one_of(
         x=_FLOATS, weights=_WEIGHTS, threshold=_FLOATS)),
     st.tuples(st.just(["moments", "--p"]), _PRIMES, st.just("--n"), _INTS,
               _flags(r=_FLOATS, weights=_WEIGHTS)),
+    st.tuples(st.just(["constants", "--tol"]), _FLOATS),
 ).map(lambda parts: [a for part in parts for a in ([part] if isinstance(part, str) else part)])
 
 

@@ -19,6 +19,7 @@ from gcdlab.energy import (
     set_energy,
 )
 from gcdlab.errors import InvalidArgumentError, ResourceLimitError
+from gcdlab.gcdsums import Kernel, exact_minimize
 from gcdlab.weights import WeightVector, all_ones, omega_level_weights
 
 from oracles import distinct_products, energy_four_loop
@@ -78,6 +79,7 @@ def test_pair_guard_raises_before_allocating(sieve_big):
         lambda: energy_histogram(all_ones(8193)),
         lambda: set_energy(range(1, 8194), range(1, 8194)),
         lambda: h_count(sieve_big, 1 << 20, 2, 3),  # 219759 * 262865 pairs
+        lambda: exact_minimize(8193, Kernel.T1),  # an 8193 x 8193 kernel matrix
     ]
     for call in calls:
         tracemalloc.start()
@@ -199,6 +201,8 @@ def test_multiplication_table_examples():
     assert multiplication_table_count(1) == 1
     assert multiplication_table_count(3) == 6
     assert multiplication_table_count(4) == 9
+    with pytest.raises(ResourceLimitError):
+        multiplication_table_count(energy_module.MULTABLE_LIMIT + 1)
 
 
 def test_multiplication_table_incremental_oracle():

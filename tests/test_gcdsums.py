@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from gcdlab.arith import build_sieve
 from gcdlab.errors import ConvergenceError, InvalidArgumentError
 from gcdlab.gcdsums import (
     Kernel,
+    _t0_nodes,
     crossed_energy,
     exact_minimize,
     gcd_quadratic_form,
@@ -81,7 +83,7 @@ def test_grouped_equals_direct(sieve_small):
         for kind in (Kernel.T0, Kernel.T1):
             direct = gcd_quadratic_form(w, kind)
             grouped = gcd_quadratic_form(w, kind, sieve_small, evaluator="grouped")
-            assert grouped == pytest.approx(direct, rel=1e-9)
+            assert grouped == pytest.approx(direct, rel=1e-12)
 
 
 def test_scaling_invariance():
@@ -194,17 +196,35 @@ def test_sweep_prune_matches_full_table(sieve_small):
 
 def test_multiple_sums_matches_slices():
     rng = np.random.default_rng(23)
-    u = rng.random(3001)
-    u[0] = 0.0
-    s = multiple_sums(u)
-    for d in (1, 2, 3, 17, 100, 999, 1500, 2999, 3000):
-        assert s[d] == pytest.approx(u[d::d].sum(), rel=1e-12)
+    for n in (0, 1, 2, 3, 8, 15, 16, 17, 3000, 3001):
+        u = rng.random((3, n + 1))
+        s = multiple_sums(u)
+        for row in range(3):
+            assert np.array_equal(s[row], multiple_sums(u[row]))
+        for d in range(1, n + 1):
+            assert s[0, d] == pytest.approx(u[0, d::d].sum(), rel=1e-12)
+
+
+def test_t0_nodes_reproduce_reciprocal():
+    # every integer x in [2, 2N], and a geometric grid up to 2^25 for N = 2^24
+    grids = {n: np.arange(2.0, 2 * n + 1) for n in (1, 2, 100, 5000)}
+    grids[1 << 24] = np.geomspace(2.0, 2.0**25, 3000)
+    for n, x in grids.items():
+        a, c = _t0_nodes(n)
+        assert np.abs(np.exp(-np.outer(x, a)) @ c * x - 1.0).max() < 2e-13
 
 
 def test_t0_max_profile():
-    from gcdlab.arith import build_sieve
-
-    sieve = build_sieve(64)
+    sieve = build_sieve(10007)
     assert t0_max_profile(1, sieve) == pytest.approx(0.5)
     # monotone in the endpoint: adding grid points can only raise the max
     assert t0_max_profile(64, sieve) >= t0_max_profile(32, sieve) - 1e-12
+    # the same doubling grid, every level evaluated by the direct form
+    for x_max in (64, 1000, 10007):
+        grid = [2**e for e in range(x_max.bit_length()) if 2**e < x_max] + [x_max]
+        direct = max(
+            min(normalized_ratio(omega_level_weights(sieve, x, int(k)), Kernel.T0).ratio
+                for k in np.unique(sieve.omega[1 : x + 1]))
+            for x in grid
+        )
+        assert t0_max_profile(x_max, sieve) == pytest.approx(direct, rel=1e-12)

@@ -32,7 +32,7 @@ def sparse_weights(draw, n_max=_N_MAX, integral=st.booleans(), max_size=64) -> W
 def test_direct_equals_grouped(w, kind):
     direct = gcd_quadratic_form(w, kind, evaluator="direct")
     grouped = gcd_quadratic_form(w, kind, _SIEVE, evaluator="grouped")
-    assert grouped == pytest.approx(direct, rel=1e-9)
+    assert grouped == pytest.approx(direct, rel=1e-12)
 
 
 # N <= 120 and 24 points keep the O(support^3) quadruple oracle fast; weights
