@@ -10,12 +10,14 @@ character at once) go through a length-(p-1) FFT over the dlog ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .arith import FactorSieve, is_prime
-from .errors import DomainError, InvalidArgumentError
+from .energy import PAIR_BUDGET
+from .errors import DomainError, InvalidArgumentError, ResourceLimitError
 from .gcdsums import Kernel, gcd_quadratic_form, t0_max_profile
 from .weights import WeightVector
 
@@ -24,8 +26,10 @@ __all__ = [
     "Character",
     "build_table",
     "char_sum",
+    "residue_counts",
     "all_char_sums",
     "all_mollifiers",
+    "fold_weights",
     "weil_moment_check",
     "congruence_count",
     "weighted_congruence_count",
@@ -33,6 +37,7 @@ __all__ = [
     "lattice_count",
     "lattice_count_bound",
     "burgess_max_n",
+    "check_burgess_length",
     "burgess_envelope",
     "burgess_scan",
     "BurgessReport",
@@ -53,12 +58,19 @@ def _factor_distinct(n: int) -> list[int]:
     return out
 
 
+_FFT_BLOCK = 1 << 20  # complex entries per FFT call of CharacterTable.transform
+
+
 @dataclass
 class CharacterTable:
     p: int
     g: int
     dlog: np.ndarray  # dlog[n] for n in 1..p-1; dlog[0] = -1 sentinel
-    unit_roots: np.ndarray = field(repr=False)  # zeta**j, j = 0..p-2
+
+    @cached_property
+    def unit_roots(self) -> np.ndarray:
+        """zeta**j for j = 0..p-2, made on first use: the family transform reads none."""
+        return np.exp(2j * np.pi * np.arange(self.p - 1) / (self.p - 1))
 
     def character(self, index: int) -> "Character":
         return Character(self, index % (self.p - 1))
@@ -70,15 +82,27 @@ class CharacterTable:
         return (Character(self, a) for a in range(1, self.p - 1))
 
     def transform(self, folded: np.ndarray) -> np.ndarray:
-        """Sum over n mod p of folded[n] chi_a(n), for every index a at once.
+        """Sum over n mod p of folded[..., n] chi_a(n), for every index a at once.
 
-        ``folded`` holds one value per residue 0..p-1; residue 0 drops out
-        (chi(0) = 0).  Scattering by dlog turns the family sum into one
-        length-(p-1) inverse FFT.
+        ``folded`` holds one value per residue 0..p-1 along its last axis,
+        one row per family sum; residue 0 drops out (chi(0) = 0).
+        Scattering by dlog turns each row into one length-(p-1) inverse FFT.
+        The rows go in place through one FFT call per block of about
+        _FFT_BLOCK entries: a call plans the length once for all its rows,
+        and each row equals its own 1-D transform bit for bit.  The block
+        bound keeps the FFT's scratch, which grows with the rows of a call,
+        at one row when p is near 10^6.
         """
-        b = np.zeros(self.p - 1, dtype=np.complex128)
-        b[self.dlog[1:]] = folded[1:]
-        return (self.p - 1) * np.fft.ifft(b)
+        n = self.p - 1
+        out = np.zeros(folded.shape[:-1] + (n,), dtype=np.complex128)
+        out[..., self.dlog[1:]] = folded[..., 1:]
+        rows = out.reshape(-1, n)
+        step = max(1, _FFT_BLOCK // n)
+        for i in range(0, len(rows), step):
+            block = rows[i : i + step]
+            np.fft.ifft(block, axis=-1, out=block)
+        out *= n
+        return out
 
 
 @dataclass
@@ -118,28 +142,46 @@ class Character:
         return Character(self.table, (-self.index) % (self.p - 1))
 
 
+# dlog, the powers g^t it is scattered from and unit_roots: 8 + 8 + 16 bytes
+# per residue; the budget is PAIR_BUDGET entries of 8 bytes, so p <= 2^24
+TABLE_BYTES_PER_RESIDUE = 32
+
+
 def build_table(p: int) -> CharacterTable:
-    """Discrete-log table to the smallest primitive root mod p."""
+    """Discrete-log table to the smallest primitive root mod p.
+
+    The powers g^t mod p are filled by doubling, powers[k:2k] =
+    powers[:k] g^k mod p, about log2(p) array steps; under the size guard
+    every product stays below p^2 <= 2^48.  Scattering t to the slot g^t
+    gives the table.
+    """
     if p < 3 or not is_prime(p):
         raise InvalidArgumentError(f"p = {p} must be an odd prime")
+    nbytes = TABLE_BYTES_PER_RESIDUE * p
+    if nbytes > 8 * PAIR_BUDGET:
+        raise ResourceLimitError(
+            f"character table mod {p} needs {nbytes} bytes, above budget {8 * PAIR_BUDGET}")
     qs = _factor_distinct(p - 1)
-    g = None
-    for cand in range(2, p):
-        if all(pow(cand, (p - 1) // q, p) != 1 for q in qs):
-            g = cand
-            break
-    assert g is not None
+    g = next(c for c in range(2, p) if all(pow(c, (p - 1) // q, p) != 1 for q in qs))
+    powers = np.empty(p - 1, dtype=np.int64)
+    powers[0] = 1
+    k = 1
+    while k < p - 1:
+        step = min(k, p - 1 - k)
+        block = powers[k : k + step]
+        np.multiply(powers[:step], pow(g, k, p), out=block)
+        np.remainder(block, p, out=block)
+        k += step
     dlog = np.full(p, -1, dtype=np.int64)
-    x = 1
-    for t in range(p - 1):
-        dlog[x] = t
-        x = x * g % p
-    roots = np.exp(2j * np.pi * np.arange(p - 1) / (p - 1))
-    return CharacterTable(p=p, g=g, dlog=dlog, unit_roots=roots)
+    dlog[powers] = np.arange(p - 1)
+    return CharacterTable(p=p, g=g, dlog=dlog)
 
 
-def _residue_counts(p: int, m: int, n: int) -> np.ndarray:
-    """How many integers in (m, m+n] fall in each residue class mod p."""
+def residue_counts(p: int, m, n: int) -> np.ndarray:
+    """How many integers in (m, m+n] fall in each residue class mod p.
+
+    ``m`` may be a column of offsets; the counts then have one row each.
+    """
     r = np.arange(p)
     return (m + n - r) // p - (m - r) // p
 
@@ -148,23 +190,31 @@ def char_sum(chi: Character, m: int, n: int) -> complex:
     """S(M, N) = sum of chi over the interval (M, M+N]."""
     if n < 1:
         raise InvalidArgumentError("interval length must be >= 1")
-    counts = _residue_counts(chi.p, m, n)
+    counts = residue_counts(chi.p, m, n)
     return complex(counts @ chi.values())
 
 
-def all_char_sums(table: CharacterTable, m: int, n: int) -> np.ndarray:
-    """S_chi(M, N) for every character index at once (FFT over dlog order)."""
-    return table.transform(_residue_counts(table.p, m, n))
+def all_char_sums(table: CharacterTable, m, n: int) -> np.ndarray:
+    """S_chi(M, N) for every character index at once (FFT over dlog order).
+
+    A column of offsets ``m`` gives one row of sums per offset.
+    """
+    return table.transform(residue_counts(table.p, m, n))
+
+
+def fold_weights(w: WeightVector, out: np.ndarray) -> np.ndarray:
+    """Add w(m) into out[m mod p], p = len(out), and return ``out``."""
+    p = len(out)
+    if w.limit >= p:
+        raise InvalidArgumentError("weight support must stay below p")
+    supp = w.support
+    np.add.at(out, supp % p, w.values[supp].astype(np.float64))
+    return out
 
 
 def all_mollifiers(table: CharacterTable, w: WeightVector) -> np.ndarray:
     """M_chi = sum of w(m) conj(chi(m)) for every character index at once."""
-    p = table.p
-    if w.limit >= p:
-        raise InvalidArgumentError("weight support must stay below p")
-    folded = np.zeros(p, dtype=np.float64)
-    supp = w.support
-    np.add.at(folded, supp % p, w.values[supp].astype(np.float64))
+    folded = fold_weights(w, np.zeros(table.p, dtype=np.float64))
     # conj turns the chi-sum into the conj(chi)-sum for real weights
     return np.conj(table.transform(folded))
 
@@ -261,10 +311,15 @@ def burgess_max_n(p: int, r: int) -> float:
     return p ** (0.5 + 1.0 / (4 * r))
 
 
-def burgess_envelope(n: int, p: int, r: int, t0max: float) -> float:
-    """N^(1-1/r) p^((r+1)/(4 r^2)) t0max^(1/(2r)), under N <= p^(1/2+1/(4r))."""
+def check_burgess_length(n: int, p: int, r: int) -> None:
+    """Raise DomainError unless r >= 2 and N <= p^(1/2+1/(4r))."""
     if n > burgess_max_n(p, r):
         raise DomainError("hypothesis N <= p^(1/2 + 1/(4r)) violated")
+
+
+def burgess_envelope(n: int, p: int, r: int, t0max: float) -> float:
+    """N^(1-1/r) p^((r+1)/(4 r^2)) t0max^(1/(2r)), under N <= p^(1/2+1/(4r))."""
+    check_burgess_length(n, p, r)
     if not (math.isfinite(t0max) and t0max > 0):
         raise InvalidArgumentError("t0max must be finite and positive")
     return n ** (1 - 1.0 / r) * p ** ((r + 1) / (4.0 * r * r)) * t0max ** (1.0 / (2 * r))
@@ -296,21 +351,22 @@ def burgess_scan(
 
     The full scan over all M costs O(p N #chi); striding M over ceil(p/offsets)
     spacings keeps desk-scale runtime while preserving a meaningful maximum.
+    The offsets go through the family transform in blocks of about
+    _FFT_BLOCK residue counts.
     """
     if n < 1 or offsets < 1:
         raise InvalidArgumentError("need N >= 1 and offsets >= 1")
+    check_burgess_length(n, p, r)
     table = build_table(p)
     if t0max is None:
         t0max = t0_max_profile(p, sieve)
     env = burgess_envelope(n, p, r, t0max)
-    step = -(-p // offsets)
+    ms = np.arange(0, p, -(-p // offsets))[:offsets, None]
+    rows = max(1, _FFT_BLOCK // p)
     best = 0.0
-    for j in range(offsets):
-        m = j * step
-        if m >= p:
-            break
-        sums = all_char_sums(table, m, n)
-        best = max(best, float(np.abs(sums[1:]).max()))
+    for i in range(0, len(ms), rows):
+        sums = all_char_sums(table, ms[i : i + rows], n)
+        best = max(best, float(np.abs(sums[:, 1:]).max()))
     pv = math.sqrt(p) * math.log(p)
     a_param = int(n // (16 * r * p ** (1.0 / (2 * r))))
     b_param = int(r * p ** (1.0 / (2 * r)))

@@ -32,6 +32,7 @@ from .characters import (
     burgess_max_n,
     burgess_scan,
     char_sum,
+    check_burgess_length,
     weil_moment_check,
 )
 from .errors import GcdLabError, InvalidArgumentError, ResourceLimitError
@@ -201,6 +202,7 @@ def _cmd_burgess(args) -> None:
     if not is_prime(args.p):
         raise InvalidArgumentError("p must be prime")
     n = args.n if args.n is not None else int(burgess_max_n(args.p, args.r))
+    check_burgess_length(n, args.p, args.r)
     sieve = build_sieve(args.p)
     row = _timed_row(burgess_scan, args.p, n, args.r, sieve, t0max=args.t0max,
                      offsets=args.offsets)
@@ -223,8 +225,11 @@ def _cmd_theta(args) -> None:
         primes = [p for p in range(5, args.scan + 1) if is_prime(p)]
         rest = repeat(args.x), repeat(args.weights), repeat(args.threshold)
         if args.jobs > 1:
+            # about 16 chunks per worker: few round trips, and the growing
+            # per-prime cost still spreads over the workers
+            chunk = max(1, len(primes) // (16 * args.jobs))
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_theta_row, primes, *rest))
+                rows = list(pool.map(_theta_row, primes, *rest, chunksize=chunk))
         else:
             rows = list(map(_theta_row, primes, *rest))
         _emit(rows, cols, args)
@@ -236,7 +241,8 @@ def _cmd_moments(args) -> None:
     sieve = build_sieve(max(args.n, 3))
     w = _parse_weights(args.weights, args.n, sieve)
     r_values = [args.r] if args.r is not None else [1.4, 1.5, 1.75, 1.9]
-    rows = [_timed_row(small_moments.holder_chain_check, args.p, args.n, r, w, sieve)
+    table = build_table(args.p)
+    rows = [_timed_row(small_moments.holder_chain_check, args.p, args.n, r, w, sieve, table)
             for r in r_values]
     _emit(rows, _columns(small_moments.HolderChainReport), args,
           csv_headers={"n": "N", "s1": "S1", "s2": "S2", "sr": "Sr", "m4": "M4"})

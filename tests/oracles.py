@@ -87,3 +87,15 @@ def multiplicative_order(a: int, p: int) -> int:
             return k
         x = x * a % p
     raise AssertionError("no order found")
+
+
+def primitive_root_and_dlog(p: int) -> tuple[int, list[int]]:
+    """Smallest primitive root g mod p, by element orders, and its discrete
+    logs: dlog[g^t mod p] = t, one step per residue, dlog[0] = -1."""
+    g = next(a for a in range(2, p) if multiplicative_order(a, p) == p - 1)
+    dlog = [-1] * p
+    x = 1
+    for t in range(p - 1):
+        dlog[x] = t
+        x = x * g % p
+    return g, dlog

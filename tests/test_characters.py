@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gcdlab.characters import (
     all_char_sums,
     build_table,
     burgess_envelope,
+    burgess_max_n,
     burgess_scan,
     char_sum,
     congruence_count,
@@ -17,10 +19,10 @@ from gcdlab.characters import (
     weighted_congruence_count,
     weil_moment_check,
 )
-from gcdlab.errors import DomainError, InvalidArgumentError
+from gcdlab.errors import DomainError, InvalidArgumentError, ResourceLimitError
 from gcdlab.weights import WeightVector, all_ones
 
-from oracles import multiplicative_order
+from oracles import multiplicative_order, primitive_root_and_dlog
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -41,6 +43,28 @@ def test_primitive_root_orders():
         t = build_table(p)
         assert multiplicative_order(t.g, p) == p - 1
         assert sorted(t.dlog[1:].tolist()) == list(range(p - 1))
+
+
+# 30011 - 1 = 2 * 5 * 3001 has a large prime factor; 1000003 is the
+# benchmark's theta modulus
+@pytest.mark.parametrize("p", [3, 5, 7, 31, 30011, 1000003])
+def test_table_equals_loop_oracle(p):
+    g, dlog = primitive_root_and_dlog(p)
+    t = build_table(p)
+    assert t.g == g
+    assert t.dlog.tolist() == dlog
+
+
+def test_table_guard_raises_before_allocating():
+    # 16777259, the first prime above 2^24, needs 32 * p bytes > 2^29
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            build_table(16777259)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_character_multiplicativity_exhaustive():
@@ -101,6 +125,17 @@ def test_transform_matches_character_values(p):
     assert len(out) == p - 1
     for chi in t.characters():
         assert out[chi.index] == pytest.approx(complex(f @ chi.values()), abs=1e-10)
+
+
+@pytest.mark.parametrize("p, rows", [(3, 2), (31, 2), (30011, 2), (30011, 40)])
+def test_transform_rows_equal_single_transforms(p, rows):
+    # 40 rows of 30011 residues take two FFT calls
+    t = build_table(p)
+    f = np.random.default_rng(p).standard_normal((rows, p))
+    block = t.transform(f)
+    assert block.shape == (rows, p - 1)
+    for got, row in zip(block, f):
+        assert np.array_equal(got, t.transform(row))
 
 
 def test_all_char_sums_matches_single():
@@ -268,3 +303,23 @@ def test_burgess_scan_desk_scale():
     assert rep.t0max >= 0.5  # profile includes the x = 1 point
     # at this length the observed max is far below the Polya-Vinogradov scale
     assert rep.pv_ratio < 1.0
+
+
+def test_burgess_scan_blocks_equal_offset_loop():
+    p, offsets = 30011, 256
+    n = int(burgess_max_n(p, 2))
+    rep = burgess_scan(p, n, 2, build_sieve(10), t0max=5.0, offsets=offsets)
+    t = build_table(p)
+    step = -(-p // offsets)
+    best = max(float(np.abs(all_char_sums(t, j * step, n)[1:]).max())
+               for j in range(offsets) if j * step < p)
+    assert rep.max_sum == best
+
+
+def test_burgess_scan_checks_length_first():
+    # N above p^(5/8): refused before the table and the T0 profile, which a
+    # ten-entry sieve could not feed
+    with pytest.raises(DomainError):
+        burgess_scan(100003, 10**6, 2, build_sieve(10))
+    with pytest.raises(DomainError):
+        burgess_scan(100003, 100, 1, build_sieve(10))

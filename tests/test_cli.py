@@ -199,11 +199,13 @@ def test_timings_flag_adds_field(command, fmt):
 
 
 def test_theta_scan_jobs():
-    seq = run_cli("theta", "--scan", "30", "--x", "1", "--format", "csv")
-    par = run_cli("theta", "--scan", "30", "--x", "1", "--format", "csv", "--jobs", "2")
-    assert seq == par
-    lines = seq.strip().split("\n")
-    assert len(lines) == 1 + len([p for p in (5, 7, 11, 13, 17, 19, 23, 29) ])
+    # 400 holds 76 primes: 38 pool chunks of 2 primes with --jobs 2
+    for scan in (30, 400):
+        seq = run_cli("theta", "--scan", str(scan), "--x", "1", "--format", "csv")
+        par = run_cli("theta", "--scan", str(scan), "--x", "1", "--format", "csv", "--jobs", "2")
+        assert seq == par
+        lines = seq.strip().split("\n")
+        assert len(lines) == 1 + len([p for p in range(5, scan + 1) if is_prime(p)])
 
 
 BAD_INPUTS = [
@@ -233,6 +235,8 @@ BAD_INPUTS = [
     (["check", "gcd", "--seed", "-1"], 1, "InvalidArgumentError"),
     (["gcdsum", "--n", "8193", "--weights", "optimal-qp"], 1, "ResourceLimitError"),
     (["multable", "--powers", "20"], 1, "ResourceLimitError"),
+    (["charsum", "--p", "16777259", "--index", "1", "--n", "5"], 1, "ResourceLimitError"),
+    (["burgess", "--p", "100003", "--r", "2", "--n", "1000000"], 1, "DomainError"),
 ]
 
 

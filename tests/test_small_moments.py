@@ -103,6 +103,18 @@ def test_holder_chain_grid():
                 assert rep.s2 == pytest.approx(char_moment_closed_form(p, n), rel=1e-9)
 
 
+def test_holder_chain_shares_one_transform():
+    # the 2-row transform of S and M gives the 1-D routes' moments exactly
+    p, n, w = 1009, 20, all_ones(20)
+    sieve = build_sieve(n)
+    t = build_table(p)
+    rep = holder_chain_check(p, n, 1.5, w, sieve, table=t)
+    assert rep == holder_chain_check(p, n, 1.5, w, sieve)
+    assert rep.s2 == char_moment(p, n, 2, t)
+    assert rep.sr == char_moment(p, n, 1.5, t)
+    assert rep.m4 == mollified_fourth(p, n, w, t)
+
+
 def test_holder_chain_validation():
     with pytest.raises(InvalidArgumentError):
         holder_chain_check(101, 9, 1.2, all_ones(9))
