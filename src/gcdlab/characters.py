@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import FactorSieve, is_prime
+from .arith import FactorSieve, build_sieve, is_prime
 from .energy import PAIR_BUDGET
 from .errors import DomainError, InvalidArgumentError, ResourceLimitError
 from .gcdsums import Kernel, gcd_quadratic_form, t0_max_profile
@@ -26,10 +26,8 @@ __all__ = [
     "Character",
     "build_table",
     "char_sum",
-    "residue_counts",
     "all_char_sums",
     "all_mollifiers",
-    "fold_weights",
     "weil_moment_check",
     "congruence_count",
     "weighted_congruence_count",
@@ -37,7 +35,6 @@ __all__ = [
     "lattice_count",
     "lattice_count_bound",
     "burgess_max_n",
-    "check_burgess_length",
     "burgess_envelope",
     "burgess_scan",
     "BurgessReport",
@@ -87,11 +84,11 @@ class CharacterTable:
         ``folded`` holds one value per residue 0..p-1 along its last axis,
         one row per family sum; residue 0 drops out (chi(0) = 0).
         Scattering by dlog turns each row into one length-(p-1) inverse FFT.
-        The rows go in place through one FFT call per block of about
-        _FFT_BLOCK entries: a call plans the length once for all its rows,
-        and each row equals its own 1-D transform bit for bit.  The block
-        bound keeps the FFT's scratch, which grows with the rows of a call,
-        at one row when p is near 10^6.
+        The rows go through one FFT call per block of about _FFT_BLOCK
+        entries, written back over the scattered block: a call plans the
+        length once for all its rows, and each row equals its own 1-D
+        transform bit for bit.  The block bound keeps the FFT's scratch,
+        which grows with the rows of a call, at one row when p is near 10^6.
         """
         n = self.p - 1
         out = np.zeros(folded.shape[:-1] + (n,), dtype=np.complex128)
@@ -99,8 +96,7 @@ class CharacterTable:
         rows = out.reshape(-1, n)
         step = max(1, _FFT_BLOCK // n)
         for i in range(0, len(rows), step):
-            block = rows[i : i + step]
-            np.fft.ifft(block, axis=-1, out=block)
+            rows[i : i + step] = np.fft.ifft(rows[i : i + step], axis=-1)
         out *= n
         return out
 
@@ -177,7 +173,7 @@ def build_table(p: int) -> CharacterTable:
     return CharacterTable(p=p, g=g, dlog=dlog)
 
 
-def residue_counts(p: int, m, n: int) -> np.ndarray:
+def _residue_counts(p: int, m, n: int) -> np.ndarray:
     """How many integers in (m, m+n] fall in each residue class mod p.
 
     ``m`` may be a column of offsets; the counts then have one row each.
@@ -190,7 +186,7 @@ def char_sum(chi: Character, m: int, n: int) -> complex:
     """S(M, N) = sum of chi over the interval (M, M+N]."""
     if n < 1:
         raise InvalidArgumentError("interval length must be >= 1")
-    counts = residue_counts(chi.p, m, n)
+    counts = _residue_counts(chi.p, m, n)
     return complex(counts @ chi.values())
 
 
@@ -199,22 +195,17 @@ def all_char_sums(table: CharacterTable, m, n: int) -> np.ndarray:
 
     A column of offsets ``m`` gives one row of sums per offset.
     """
-    return table.transform(residue_counts(table.p, m, n))
-
-
-def fold_weights(w: WeightVector, out: np.ndarray) -> np.ndarray:
-    """Add w(m) into out[m mod p], p = len(out), and return ``out``."""
-    p = len(out)
-    if w.limit >= p:
-        raise InvalidArgumentError("weight support must stay below p")
-    supp = w.support
-    np.add.at(out, supp % p, w.values[supp].astype(np.float64))
-    return out
+    return table.transform(_residue_counts(table.p, m, n))
 
 
 def all_mollifiers(table: CharacterTable, w: WeightVector) -> np.ndarray:
     """M_chi = sum of w(m) conj(chi(m)) for every character index at once."""
-    folded = fold_weights(w, np.zeros(table.p, dtype=np.float64))
+    p = table.p
+    if w.limit >= p:
+        raise InvalidArgumentError("weight support must stay below p")
+    folded = np.zeros(p, dtype=np.float64)
+    supp = w.support
+    np.add.at(folded, supp % p, w.values[supp].astype(np.float64))
     # conj turns the chi-sum into the conj(chi)-sum for real weights
     return np.conj(table.transform(folded))
 
@@ -311,7 +302,7 @@ def burgess_max_n(p: int, r: int) -> float:
     return p ** (0.5 + 1.0 / (4 * r))
 
 
-def check_burgess_length(n: int, p: int, r: int) -> None:
+def _check_burgess_length(n: int, p: int, r: int) -> None:
     """Raise DomainError unless r >= 2 and N <= p^(1/2+1/(4r))."""
     if n > burgess_max_n(p, r):
         raise DomainError("hypothesis N <= p^(1/2 + 1/(4r)) violated")
@@ -319,7 +310,7 @@ def check_burgess_length(n: int, p: int, r: int) -> None:
 
 def burgess_envelope(n: int, p: int, r: int, t0max: float) -> float:
     """N^(1-1/r) p^((r+1)/(4 r^2)) t0max^(1/(2r)), under N <= p^(1/2+1/(4r))."""
-    check_burgess_length(n, p, r)
+    _check_burgess_length(n, p, r)
     if not (math.isfinite(t0max) and t0max > 0):
         raise InvalidArgumentError("t0max must be finite and positive")
     return n ** (1 - 1.0 / r) * p ** ((r + 1) / (4.0 * r * r)) * t0max ** (1.0 / (2 * r))
@@ -343,7 +334,7 @@ def burgess_scan(
     p: int,
     n: int,
     r: int,
-    sieve: FactorSieve,
+    sieve: FactorSieve | None = None,
     t0max: float | None = None,
     offsets: int = 256,
 ) -> BurgessReport:
@@ -352,14 +343,15 @@ def burgess_scan(
     The full scan over all M costs O(p N #chi); striding M over ceil(p/offsets)
     spacings keeps desk-scale runtime while preserving a meaningful maximum.
     The offsets go through the family transform in blocks of about
-    _FFT_BLOCK residue counts.
+    _FFT_BLOCK residue counts.  Without ``t0max`` the T0 profile up to p
+    gives it, from ``sieve`` or else from a sieve to p built here.
     """
     if n < 1 or offsets < 1:
         raise InvalidArgumentError("need N >= 1 and offsets >= 1")
-    check_burgess_length(n, p, r)
+    _check_burgess_length(n, p, r)
     table = build_table(p)
     if t0max is None:
-        t0max = t0_max_profile(p, sieve)
+        t0max = t0_max_profile(p, sieve if sieve is not None else build_sieve(p))
     env = burgess_envelope(n, p, r, t0max)
     ms = np.arange(0, p, -(-p // offsets))[:offsets, None]
     rows = max(1, _FFT_BLOCK // p)

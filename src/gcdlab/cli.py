@@ -32,7 +32,6 @@ from .characters import (
     burgess_max_n,
     burgess_scan,
     char_sum,
-    check_burgess_length,
     weil_moment_check,
 )
 from .errors import GcdLabError, InvalidArgumentError, ResourceLimitError
@@ -202,9 +201,7 @@ def _cmd_burgess(args) -> None:
     if not is_prime(args.p):
         raise InvalidArgumentError("p must be prime")
     n = args.n if args.n is not None else int(burgess_max_n(args.p, args.r))
-    check_burgess_length(n, args.p, args.r)
-    sieve = build_sieve(args.p)
-    row = _timed_row(burgess_scan, args.p, n, args.r, sieve, t0max=args.t0max,
+    row = _timed_row(burgess_scan, args.p, n, args.r, t0max=args.t0max,
                      offsets=args.offsets)
     _emit([row], _columns(BurgessReport), args,
           csv_headers={"n": "N", "a_param": "A", "b_param": "B", "max_sum": "maxS"})

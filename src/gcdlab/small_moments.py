@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import FactorSieve
-from .characters import (
-    CharacterTable,
-    all_char_sums,
-    all_mollifiers,
-    build_table,
-    fold_weights,
-    residue_counts,
-)
+from .characters import CharacterTable, all_char_sums, all_mollifiers, build_table
 from .energy import minimize_energy_over_levels
 from .errors import DomainError, InvalidArgumentError
 from .weights import WeightVector
@@ -152,14 +145,8 @@ def holder_chain_check(
         raise DomainError("need N < p")
     if table is None:
         table = build_table(p)
-    # S and M share one 2-row transform
-    folded = np.zeros((2, p), dtype=np.float64)
-    folded[0] = residue_counts(p, 0, n)
-    fold_weights(w, folded[1])
-    family = table.transform(folded)
-    s = family[0, 1:]
-    # conj turns the chi-sum into the conj(chi)-sum for real weights
-    m = np.conj(family[1, 1:])
+    s = _nonprincipal_sums(table, n)
+    m = all_mollifiers(table, w)[1:]
     lhs = abs(complex((s * m).sum())) / (p - 1)
     s1 = float(np.abs(s).sum()) / (p - 1)
     s2 = float((np.abs(s) ** 2).sum()) / (p - 1)

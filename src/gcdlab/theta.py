@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import FactorSieve
-from .characters import Character, CharacterTable, build_table, fold_weights
+from .characters import Character, CharacterTable, all_mollifiers, build_table
 from .energy import PAIR_BUDGET, energy_histogram, minimize_energy_over_levels
 from .errors import InvalidArgumentError, ResourceLimitError
 from .weights import WeightVector, omega_level_weights
@@ -99,14 +99,6 @@ def theta(chi: Character, x: float) -> ThetaValue:
     )
 
 
-def _fold_theta(x: float, n_max: int, out: np.ndarray) -> None:
-    """Add the coefficients exp(-pi n^2 x / p), n <= n_max, into out[n mod p]."""
-    p = len(out)
-    ns = np.arange(1, n_max + 1)
-    coeff = np.exp(-math.pi * x * ns.astype(np.float64) ** 2 / p)
-    np.add.at(out, ns % p, coeff)
-
-
 def all_even_thetas(table: CharacterTable, x: float) -> tuple[np.ndarray, int, float]:
     """Theta values for every even character index (0, 2, ...) at once.
 
@@ -116,8 +108,10 @@ def all_even_thetas(table: CharacterTable, x: float) -> tuple[np.ndarray, int, f
     """
     p = table.p
     n_max = theta_truncation(p, x)
+    ns = np.arange(1, n_max + 1)
+    coeff = np.exp(-math.pi * x * ns.astype(np.float64) ** 2 / p)
     folded = np.zeros(p, dtype=np.float64)
-    _fold_theta(x, n_max, folded)
+    np.add.at(folded, ns % p, coeff)
     return table.transform(folded)[0 : p - 1 : 2], n_max, theta_tail_bound(p, x, n_max)
 
 
@@ -163,21 +157,13 @@ def moment_report(
         raise InvalidArgumentError("weight vector must have positive l1 norm")
     if table is None:
         table = build_table(p)
-    n_max = theta_truncation(p, x)
-    tail = theta_tail_bound(p, x, n_max)
+    thetas, _, tail = all_even_thetas(table, x)
     if not threshold > tail:  # also rejects a NaN threshold
         raise InvalidArgumentError("threshold must exceed the certified tail bound")
     cutoff = mollifier_cutoff(p)
     if w.limit > cutoff:
         raise InvalidArgumentError("weight support must fit below floor(sqrt(p/3))")
-    # the theta fold and the mollifier fold share one 2-row transform
-    folded = np.zeros((2, p), dtype=np.float64)
-    _fold_theta(x, n_max, folded[0])
-    fold_weights(w, folded[1])
-    family = table.transform(folded)
-    thetas = family[0, 0 : p - 1 : 2]
-    # conj turns the chi-sum into the conj(chi)-sum for real weights
-    molls = np.conj(family[1, 0 : p - 1 : 2])
+    molls = all_mollifiers(table, w)[0 : p - 1 : 2]
     m1 = complex((molls * thetas).sum())
     m2 = float((np.abs(thetas) ** 2).sum())
     m4 = float((np.abs(molls) ** 4).sum())

@@ -316,6 +316,11 @@ def test_burgess_scan_blocks_equal_offset_loop():
     assert rep.max_sum == best
 
 
+def test_burgess_scan_builds_its_sieve():
+    rep = burgess_scan(997, 60, 2, offsets=64)
+    assert rep == burgess_scan(997, 60, 2, build_sieve(997), offsets=64)
+
+
 def test_burgess_scan_checks_length_first():
     # N above p^(5/8): refused before the table and the T0 profile, which a
     # ten-entry sieve could not feed

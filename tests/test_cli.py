@@ -237,6 +237,8 @@ BAD_INPUTS = [
     (["multable", "--powers", "20"], 1, "ResourceLimitError"),
     (["charsum", "--p", "16777259", "--index", "1", "--n", "5"], 1, "ResourceLimitError"),
     (["burgess", "--p", "100003", "--r", "2", "--n", "1000000"], 1, "DomainError"),
+    # refused by the table guard before any sieve to p is built
+    (["burgess", "--p", "16777259", "--t0max", "5", "--n", "100"], 1, "ResourceLimitError"),
 ]
 
 

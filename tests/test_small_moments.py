@@ -103,8 +103,8 @@ def test_holder_chain_grid():
                 assert rep.s2 == pytest.approx(char_moment_closed_form(p, n), rel=1e-9)
 
 
-def test_holder_chain_shares_one_transform():
-    # the 2-row transform of S and M gives the 1-D routes' moments exactly
+def test_holder_chain_takes_table():
+    # a table passed in gives the same report, and the moments of its own routes
     p, n, w = 1009, 20, all_ones(20)
     sieve = build_sieve(n)
     t = build_table(p)

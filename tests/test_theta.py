@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gcdlab.arith import build_sieve, is_prime
-from gcdlab.characters import all_mollifiers, build_table
+from gcdlab.characters import build_table
 from gcdlab.energy import energy_histogram
 from gcdlab.errors import InvalidArgumentError
 from gcdlab.theta import (
@@ -113,20 +113,6 @@ def test_moment_report_identity_p13():
     # a vector shorter than floor(sqrt(p/3)) = 10 is accepted as it stands
     rep = moment_report(331, 1.0, all_ones(3))
     assert rep.m4_identity == pytest.approx(rep.m4_direct, rel=1e-6)
-
-
-@pytest.mark.parametrize("p", [1009, 30011])
-def test_moment_report_equals_single_transforms(p):
-    # one 2-row transform gives what the 1-D theta and mollifier routes give
-    w = all_ones(mollifier_cutoff(p))
-    t = build_table(p)
-    thetas, _, _ = all_even_thetas(t, 1.0)
-    molls = all_mollifiers(t, w)[0 : p - 1 : 2]
-    rep = moment_report(p, 1.0, w, table=t)
-    m1 = complex((molls * thetas).sum())
-    assert (rep.m1_real, rep.m1_abs) == (m1.real, abs(m1))
-    assert rep.m2 == float((np.abs(thetas) ** 2).sum())
-    assert rep.m4_direct == float((np.abs(molls) ** 4).sum())
 
 
 def test_moment_m1_diagonal_lower_bound():
