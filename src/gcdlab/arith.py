@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_bytes
 
 __all__ = ["FactorSieve", "build_sieve", "is_prime"]
 
@@ -55,10 +55,11 @@ class FactorSieve:
 def build_sieve(limit: int) -> FactorSieve:
     """Build all tables up to ``limit`` in O(limit log log limit).
 
-    Raises InvalidArgumentError for limit < 1.
+    Raises InvalidArgumentError for limit < 1, ResourceLimitError above the byte budget.
     """
     if limit < 1:
         raise InvalidArgumentError("sieve limit must be >= 1")
+    check_bytes(8 * (limit + 1), "sieve")
     spf = np.zeros(limit + 1, dtype=np.int64)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:

@@ -16,8 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .arith import FactorSieve, build_sieve, is_prime
-from .energy import PAIR_BUDGET
-from .errors import DomainError, InvalidArgumentError, ResourceLimitError
+from .errors import DomainError, InvalidArgumentError, check_bytes
 from .gcdsums import Kernel, gcd_quadratic_form, t0_max_profile
 from .weights import WeightVector
 
@@ -138,11 +137,6 @@ class Character:
         return Character(self.table, (-self.index) % (self.p - 1))
 
 
-# dlog, the powers g^t it is scattered from and unit_roots: 8 + 8 + 16 bytes
-# per residue; the budget is PAIR_BUDGET entries of 8 bytes, so p <= 2^24
-TABLE_BYTES_PER_RESIDUE = 32
-
-
 def build_table(p: int) -> CharacterTable:
     """Discrete-log table to the smallest primitive root mod p.
 
@@ -153,10 +147,8 @@ def build_table(p: int) -> CharacterTable:
     """
     if p < 3 or not is_prime(p):
         raise InvalidArgumentError(f"p = {p} must be an odd prime")
-    nbytes = TABLE_BYTES_PER_RESIDUE * p
-    if nbytes > 8 * PAIR_BUDGET:
-        raise ResourceLimitError(
-            f"character table mod {p} needs {nbytes} bytes, above budget {8 * PAIR_BUDGET}")
+    # dlog, the powers g^t it is scattered from and unit_roots: 8 + 8 + 16 bytes
+    check_bytes(32 * p, f"character table mod {p}")
     qs = _factor_distinct(p - 1)
     g = next(c for c in range(2, p) if all(pow(c, (p - 1) // q, p) != 1 for q in qs))
     powers = np.empty(p - 1, dtype=np.int64)
@@ -259,14 +251,12 @@ def weighted_congruence_count(
     a_max = w.limit
     if a_max > n or a_max * n > p:
         raise DomainError("hypotheses A <= N and A*N <= p are violated")
-    if w.l1() <= 0:
-        raise InvalidArgumentError("weight vector must have positive l1 norm")
+    l1 = w.positive_l1()
     supp = [int(a) for a in w.support]
     total = 0.0
     for a1 in supp:
         for a2 in supp:
             total += float(w.values[a1]) * float(w.values[a2]) * congruence_count(p, a1, a2, m, n)
-    l1 = w.l1()
     majorant = l1 * l1 + n * gcd_quadratic_form(w, Kernel.T0)
     return WeightedCongruenceReport(value=total, majorant=majorant, ratio=total / majorant)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -221,11 +222,13 @@ def _cmd_theta(args) -> None:
     if args.scan is not None:
         primes = [p for p in range(5, args.scan + 1) if is_prime(p)]
         rest = repeat(args.x), repeat(args.weights), repeat(args.threshold)
-        if args.jobs > 1:
+        # fork starts every worker at the first submit: no more than the CPUs
+        jobs = min(args.jobs, os.cpu_count() or 1)
+        if jobs > 1:
             # about 16 chunks per worker: few round trips, and the growing
             # per-prime cost still spreads over the workers
-            chunk = max(1, len(primes) // (16 * args.jobs))
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            chunk = max(1, len(primes) // (16 * jobs))
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 rows = list(pool.map(_theta_row, primes, *rest, chunksize=chunk))
         else:
             rows = list(map(_theta_row, primes, *rest))

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .arith import FactorSieve
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import BYTE_BUDGET, InvalidArgumentError, ResourceLimitError, check_bytes
 from .weights import WeightVector, sweep_levels
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 QUADRUPLE_LIMIT = 300
-PAIR_BUDGET = 1 << 26
 # multiplication_table_count makes about N^3 / 2^24 Python steps, 2^21 at this N
 MULTABLE_LIMIT = 1 << 15
 # longest (e, q) piece that energy_level_exact adds in one step
@@ -58,18 +57,13 @@ class EnergyReport:
     evaluator: str
 
 
-def _check_weights(w: WeightVector) -> None:
-    if w.l1() <= 0:
-        raise InvalidArgumentError("weight vector must have positive l1 norm")
-
-
 def energy_quadruple(w: WeightVector):
     """Literal enumeration of m1*m2 = n1*n2 over the support (oracle).
 
     Guarded to N <= 300; this is the reference the fast evaluators are
     checked against, so it stays deliberately naive.
     """
-    _check_weights(w)
+    w.positive_l1()
     if w.limit > QUADRUPLE_LIMIT:
         raise ResourceLimitError(f"quadruple oracle refuses N > {QUADRUPLE_LIMIT}")
     supp = [int(m) for m in w.support]
@@ -97,9 +91,7 @@ def _product_counts(left: np.ndarray, right: np.ndarray, wl=None, wr=None) -> np
     Each pair counts wl(a) wr(b) when weights are given, else 1.  This is the
     one place that forms an outer product of supports; its guard runs first.
     """
-    npairs = len(left) * len(right)
-    if npairs > PAIR_BUDGET:
-        raise ResourceLimitError(f"{npairs} product pairs exceed budget {PAIR_BUDGET}")
+    check_bytes(8 * len(left) * len(right), "product table")
     prods = np.multiply.outer(left, right).ravel()
     if wl is None:
         prods.sort()
@@ -112,7 +104,7 @@ def _product_counts(left: np.ndarray, right: np.ndarray, wl=None, wr=None) -> np
 
 def energy_histogram(w: WeightVector):
     """Sum over products P of r(P)**2 where r(P) = sum of w(a)w(b) with ab=P."""
-    _check_weights(w)
+    w.positive_l1()
     supp = w.support
     wv = w.values[supp].astype(np.int64 if w.is_integral else np.float64)
     r = _product_counts(supp, supp) if (wv == 1).all() else _product_counts(supp, supp, wv, wv)
@@ -126,7 +118,7 @@ def energy_histogram(w: WeightVector):
 
 def energy_parametrized(w: WeightVector):
     """Coprime-pair route: sum over (d1,d2)=1 of (sum_h w(h d1) w(h d2))**2."""
-    _check_weights(w)
+    w.positive_l1()
     n = w.limit
     vals = w.values
     integral = w.is_integral
@@ -185,11 +177,11 @@ def energy_level_exact(sieve: FactorSieve, n: int, k: int):
 
     where cnt[t, x] = #{1 <= y <= x : Omega(y) = t}.  The count table holds
     the rows t <= k as int32, (k+1)(N+1)*4 bytes (88 MB at N = 2**20,
-    k = 20).  The pairs (e, q = m/e) with e squarefree, Omega(e) <= k and
-    e*q <= N (9.1M of them for k = 3 at N = 2**20) come from a hyperbola
-    split.  Each piece fixes e or q, so its products m = e*q are distinct
-    and the piece is added into coprime_below in place, with no temporary
-    of length N + 1.
+    k = 20), refused above the byte budget.  The pairs (e, q = m/e) with e
+    squarefree, Omega(e) <= k and e*q <= N (9.1M of them for k = 3 at
+    N = 2**20) come from a hyperbola split.  Each piece fixes e or q, so its
+    products m = e*q are distinct and the piece is added into coprime_below
+    in place, with no temporary of length N + 1.
     """
     if n < 1 or n > sieve.limit:
         raise InvalidArgumentError("need 1 <= N <= sieve.limit")
@@ -197,6 +189,7 @@ def energy_level_exact(sieve: FactorSieve, n: int, k: int):
     kmax = int(om[1:].max()) if n > 1 else 0
     if k < 0 or k > kmax:
         return 0
+    check_bytes(4 * (k + 1) * (n + 1), "level count table")
     cnt = np.zeros((k + 1, n + 1), dtype=np.int32)
     for t in range(k + 1):
         np.cumsum(om[1:] == t, dtype=np.int32, out=cnt[t, 1:])
@@ -223,9 +216,9 @@ def energy_level_exact(sieve: FactorSieve, n: int, k: int):
 
 def energy_ratio(w: WeightVector, evaluator: str = "auto") -> EnergyReport:
     """N**2 * energy / l1(w)**4 with the evaluator recorded."""
-    _check_weights(w)
+    l1 = w.positive_l1()
     if evaluator == "auto":
-        evaluator = "histogram" if len(w.support) ** 2 <= PAIR_BUDGET else "parametrized"
+        evaluator = "histogram" if 8 * len(w.support) ** 2 <= BYTE_BUDGET else "parametrized"
     fn = {
         "quadruple": energy_quadruple,
         "histogram": energy_histogram,
@@ -234,7 +227,6 @@ def energy_ratio(w: WeightVector, evaluator: str = "auto") -> EnergyReport:
     if fn is None:
         raise InvalidArgumentError(f"unknown evaluator {evaluator!r}")
     e = fn(w)
-    l1 = w.l1()
     ratio = w.limit * w.limit * float(e) / l1**4
     return EnergyReport(
         n=w.limit,

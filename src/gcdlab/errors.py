@@ -17,6 +17,16 @@ class ResourceLimitError(GcdLabError, RuntimeError):
     """The requested computation exceeds a configured size guard."""
 
 
+# the one memory budget; each guard passes the bytes it is about to allocate
+BYTE_BUDGET = 1 << 29
+
+
+def check_bytes(nbytes: float, what: str) -> None:
+    """Raise ResourceLimitError, before allocating, when nbytes exceed BYTE_BUDGET."""
+    if nbytes > BYTE_BUDGET:
+        raise ResourceLimitError(f"{what} needs {nbytes} bytes, above budget {BYTE_BUDGET}")
+
+
 class ConvergenceError(GcdLabError, RuntimeError):
     """An iterative solver ran out of budget; carries the best iterate."""
 

@@ -22,8 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .arith import FactorSieve
-from .energy import PAIR_BUDGET
-from .errors import ConvergenceError, InvalidArgumentError, ResourceLimitError
+from .errors import ConvergenceError, InvalidArgumentError, check_bytes
 from .weights import WeightVector, omega_level_weights, sweep_levels
 
 __all__ = [
@@ -74,6 +73,7 @@ def _kernel_block(si: np.ndarray, sj: np.ndarray, kind: Kernel) -> np.ndarray:
 def kernel_matrix(support: np.ndarray, kind: Kernel) -> np.ndarray:
     """Dense kernel matrix restricted to the given index set."""
     s = np.asarray(support, dtype=np.int64)
+    check_bytes(8 * len(s) ** 2, "kernel matrix")
     return _kernel_block(s, s, kind)
 
 
@@ -155,8 +155,7 @@ def gcd_quadratic_form(
     evaluator: str = "direct",
 ) -> float:
     """Sum of w(m1) w(m2) K(m1, m2) over the square of [1, N]."""
-    if w.l1() <= 0:
-        raise InvalidArgumentError("weight vector must have positive l1 norm")
+    w.positive_l1()
     if evaluator == "direct":
         supp = w.support
         return _direct_form(supp, w.values[supp].astype(np.float64), kind)
@@ -200,9 +199,9 @@ def crossed_energy(w: WeightVector):
     For each pair the count of admissible n is floor(N*gcd/max(m1,m2)); the
     result is an exact integer for integer weights.
     """
-    if w.l1() <= 0:
-        raise InvalidArgumentError("weight vector must have positive l1 norm")
+    w.positive_l1()
     supp = w.support
+    check_bytes(8 * len(supp) ** 2, "crossed-energy gcd table")
     n = w.limit
     g = np.gcd.outer(supp, supp)
     counts = (n * g) // np.maximum.outer(supp, supp)
@@ -229,8 +228,6 @@ def exact_minimize(
         raise InvalidArgumentError("need N >= 1")
     if not 0 < tol < math.inf:
         raise InvalidArgumentError("tol must be finite and positive")
-    if n * n > PAIR_BUDGET:
-        raise ResourceLimitError(f"{n}^2 kernel entries exceed budget {PAIR_BUDGET}")
     K = kernel_matrix(np.arange(1, n + 1), kind)
     w = np.full(n, 1.0 / n)
     Kw = K @ w

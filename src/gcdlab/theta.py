@@ -16,8 +16,8 @@ import numpy as np
 
 from .arith import FactorSieve
 from .characters import Character, CharacterTable, all_mollifiers, build_table
-from .energy import PAIR_BUDGET, energy_histogram, minimize_energy_over_levels
-from .errors import InvalidArgumentError, ResourceLimitError
+from .energy import energy_histogram, minimize_energy_over_levels
+from .errors import InvalidArgumentError, check_bytes
 from .weights import WeightVector, omega_level_weights
 
 __all__ = [
@@ -56,8 +56,7 @@ def theta_truncation(p: int, x: float) -> int:
     if not (math.isfinite(x) and x > 0):
         raise InvalidArgumentError("x must be finite and positive")
     length = math.sqrt(p * (TARGET_DIGITS * math.log(10) + math.log(p)) / (math.pi * x))
-    if length > PAIR_BUDGET:
-        raise ResourceLimitError(f"theta needs {length:.3g} terms, above budget {PAIR_BUDGET}")
+    check_bytes(8 * length, "theta sum")
     return math.ceil(length)
 
 
@@ -145,7 +144,6 @@ def moment_report(
     x: float,
     w: WeightVector,
     threshold: float = DEFAULT_THRESHOLD,
-    table: CharacterTable | None = None,
 ) -> MomentReport:
     """First, second and mollified fourth moment over the even characters.
 
@@ -153,10 +151,8 @@ def moment_report(
     identity (p-1)/2 * energy(floor(sqrt(p/3)), w); the two must agree to
     1e-6 relative.
     """
-    if w.l1() <= 0:
-        raise InvalidArgumentError("weight vector must have positive l1 norm")
-    if table is None:
-        table = build_table(p)
+    w.positive_l1()
+    table = build_table(p)
     thetas, _, tail = all_even_thetas(table, x)
     if not threshold > tail:  # also rejects a NaN threshold
         raise InvalidArgumentError("threshold must exceed the certified tail bound")

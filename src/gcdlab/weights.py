@@ -52,6 +52,13 @@ class WeightVector:
     def l1(self) -> float:
         return float(self.values.sum())
 
+    def positive_l1(self) -> float:
+        """l1 norm; InvalidArgumentError unless it is positive."""
+        l1 = self.l1()
+        if l1 <= 0:
+            raise InvalidArgumentError("weight vector must have positive l1 norm")
+        return l1
+
     def scaled(self, c: float) -> "WeightVector":
         return WeightVector(self.limit, self.values * c, label=f"{self.label}*{c:g}")
 

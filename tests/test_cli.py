@@ -208,6 +208,51 @@ def test_theta_scan_jobs():
         assert len(lines) == 1 + len([p for p in range(5, scan + 1) if is_prime(p)])
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its sizes and maps in process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        _SerialPool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        self.chunksize = chunksize
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (100000, 2, 2),  # capped at the CPU count
+    (2, 4, 2),
+    (4, None, None),  # an unknown CPU count means one: no pool
+])
+def test_theta_scan_pool_capped_at_cpu_count(monkeypatch, jobs, cpus, workers):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    _SerialPool.made.clear()
+    outs = []
+    for j in (jobs, 1):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(["theta", "--scan", "400", "--format", "csv", "--jobs", str(j)]) == 0
+        outs.append(out.getvalue())
+    assert outs[0] == outs[1]
+    if workers is None:
+        assert _SerialPool.made == []
+    else:
+        (pool,) = _SerialPool.made
+        assert pool.max_workers == workers
+        # 76 primes in 5..400, about 16 chunks a worker
+        assert pool.chunksize == 76 // (16 * workers)
+
+
 BAD_INPUTS = [
     (["theta"], 2, None),
     (["multable"], 2, None),
@@ -239,6 +284,10 @@ BAD_INPUTS = [
     (["burgess", "--p", "100003", "--r", "2", "--n", "1000000"], 1, "DomainError"),
     # refused by the table guard before any sieve to p is built
     (["burgess", "--p", "16777259", "--t0max", "5", "--n", "100"], 1, "ResourceLimitError"),
+    # refused by the sieve's byte guard before any table is allocated
+    (["gcdsum", "--n", "100000000000"], 1, "ResourceLimitError"),
+    (["energy", "--n", "100000000000"], 1, "ResourceLimitError"),
+    (["moments", "--p", "101", "--n", "100000000000"], 1, "ResourceLimitError"),
 ]
 
 
@@ -268,6 +317,8 @@ def test_theta_scan_without_primes():
 
 
 _INTS = st.integers(-2, 400).map(str)
+# _INTS, or a size whose sieve is over the byte budget, refused before any allocation
+_SIEVE_NS = st.one_of(_INTS, st.integers(1 << 26, 10**15).map(str))
 _PRIMES = st.sampled_from([p for p in range(2, 2000) if is_prime(p)]).map(str)
 _FLOATS = st.sampled_from(["nan", "inf", "-1", "0", "1e-300", "0.5", "1", "1.5"])
 _WEIGHTS = st.one_of(
@@ -288,10 +339,10 @@ def _flags(**options):
 # table's limit (a multiplication table of 2^POWERS) are left out: both are slow by design
 _POWERS_REFUSED = energy.MULTABLE_LIMIT.bit_length()
 _ARGV = st.one_of(
-    st.tuples(st.just(["gcdsum", "--n"]), _INTS, _flags(
+    st.tuples(st.just(["gcdsum", "--n"]), _SIEVE_NS, _flags(
         kind=st.sampled_from(["t0", "t1"]), weights=_WEIGHTS,
         evaluator=st.sampled_from(["direct", "grouped"]))),
-    st.tuples(st.just(["energy", "--n"]), _INTS, _flags(
+    st.tuples(st.just(["energy", "--n"]), _SIEVE_NS, _flags(
         weights=_WEIGHTS, evaluator=st.sampled_from(["auto", "histogram", "parametrized"]))),
     st.tuples(st.just(["multable"]), st.one_of(
         _INTS.map(lambda n: ["--n", n]),
@@ -303,7 +354,7 @@ _ARGV = st.one_of(
         r=_INTS, n=_INTS, t0max=_FLOATS, offsets=_INTS)),
     st.tuples(st.just(["theta", "--p"]), _PRIMES, _flags(
         x=_FLOATS, weights=_WEIGHTS, threshold=_FLOATS)),
-    st.tuples(st.just(["moments", "--p"]), _PRIMES, st.just("--n"), _INTS,
+    st.tuples(st.just(["moments", "--p"]), _PRIMES, st.just("--n"), _SIEVE_NS,
               _flags(r=_FLOATS, weights=_WEIGHTS)),
     st.tuples(st.just(["constants", "--tol"]), _FLOATS),
 ).map(lambda parts: [a for part in parts for a in ([part] if isinstance(part, str) else part)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gcdlab import energy as energy_module
+from gcdlab.arith import FactorSieve, build_sieve
 from gcdlab.energy import (
     asym_energy,
     energy_histogram,
@@ -18,8 +19,8 @@ from gcdlab.energy import (
     multiplication_table_count,
     set_energy,
 )
-from gcdlab.errors import InvalidArgumentError, ResourceLimitError
-from gcdlab.gcdsums import Kernel, exact_minimize
+from gcdlab.errors import BYTE_BUDGET, InvalidArgumentError, ResourceLimitError, check_bytes
+from gcdlab.gcdsums import Kernel, crossed_energy, exact_minimize, kernel_matrix
 from gcdlab.weights import WeightVector, all_ones, omega_level_weights
 
 from oracles import distinct_products, energy_four_loop
@@ -80,6 +81,9 @@ def test_pair_guard_raises_before_allocating(sieve_big):
         lambda: set_energy(range(1, 8194), range(1, 8194)),
         lambda: h_count(sieve_big, 1 << 20, 2, 3),  # 219759 * 262865 pairs
         lambda: exact_minimize(8193, Kernel.T1),  # an 8193 x 8193 kernel matrix
+        lambda: kernel_matrix(np.arange(1, 8194), Kernel.T1),
+        lambda: crossed_energy(all_ones(8193)),  # 8193 x 8193 gcd and count tables
+        lambda: build_sieve(1 << 26),  # one int64 table of 2^26 + 1 entries
     ]
     for call in calls:
         tracemalloc.start()
@@ -90,6 +94,29 @@ def test_pair_guard_raises_before_allocating(sieve_big):
         finally:
             tracemalloc.stop()
         assert peak < 64 << 20
+
+
+def test_check_bytes_boundary():
+    check_bytes(BYTE_BUDGET, "a table at the budget")
+    with pytest.raises(ResourceLimitError, match=f"{BYTE_BUDGET + 1} bytes"):
+        check_bytes(BYTE_BUDGET + 1, "a table one byte over")
+
+
+def test_level_count_guard_raises_before_allocating():
+    # an int8 Omega table is 16 MiB; the int32 count table for k = 7 at
+    # N = 2^24 would be 8 (2^24 + 1) 4 bytes > 2^29; only omega is read first
+    n = 1 << 24
+    omega = np.zeros(n + 1, dtype=np.int8)
+    omega[1 << 7] = 7
+    sieve = FactorSieve(limit=n, omega=omega, spf=None, phi=None, _mobius=None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            energy_level_exact(sieve, n, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 def test_real_weights_agreement():

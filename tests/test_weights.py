@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from gcdlab.characters import weighted_congruence_count
+from gcdlab.energy import energy_histogram, energy_ratio
 from gcdlab.errors import InvalidArgumentError
 from gcdlab.exponents import rate_function
+from gcdlab.gcdsums import Kernel, crossed_energy, gcd_quadratic_form
+from gcdlab.theta import moment_report
 from gcdlab.weights import (
     WeightVector,
     all_ones,
@@ -56,6 +60,22 @@ def test_l1_and_indicator(sieve_small):
     assert w.l1() == 3 and w.support.tolist() == [3, 5, 9]
     with pytest.raises(InvalidArgumentError):
         indicator([11], 10)
+
+
+def test_zero_weights_rejected_by_every_form():
+    w = WeightVector(6, np.zeros(7))
+    calls = [
+        w.positive_l1,
+        lambda: energy_ratio(w),
+        lambda: energy_histogram(w),
+        lambda: gcd_quadratic_form(w, Kernel.T1),
+        lambda: crossed_energy(w),
+        lambda: weighted_congruence_count(101, w, 0, 10),
+        lambda: moment_report(101, 1.0, w),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError, match="positive l1 norm"):
+            call()
 
 
 def test_negative_weights_rejected():
