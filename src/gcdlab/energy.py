@@ -42,8 +42,11 @@ __all__ = [
 ]
 
 QUADRUPLE_LIMIT = 300
-# multiplication_table_count makes about N^3 / 2^24 Python steps, 2^21 at this N
+# multiplication_table_count makes N^2 / 2 strided bitmap writes in about
+# (2/3) N^3 / _CHUNK Python steps (1.4 million at this N)
 MULTABLE_LIMIT = 1 << 15
+# entries of one bitmap chunk of multiplication_table_count: 16 MB
+_CHUNK = 1 << 24
 # longest (e, q) piece that energy_level_exact adds in one step
 _BATCH = 1 << 18
 
@@ -287,22 +290,22 @@ def multiplication_table_count(n: int) -> int:
         raise InvalidArgumentError("need N >= 1")
     if n > MULTABLE_LIMIT:
         raise ResourceLimitError(f"multiplication table refuses N > {MULTABLE_LIMIT}")
-    # mark-and-count over the value range [1, N^2], one bitmap chunk at a time
+    # mark-and-count over the value range [1, N^2], one bitmap chunk at a time;
+    # each product a*b is marked once, from its factor a <= b, so a <= isqrt(hi)
     total = 0
-    chunk = 1 << 24
     n2 = n * n
     lo = 1
-    seen = np.zeros(chunk, dtype=bool)
+    seen = np.zeros(min(_CHUNK, n2), dtype=bool)
     while lo <= n2:
-        hi = min(lo + chunk - 1, n2)
+        hi = min(lo + _CHUNK - 1, n2)
         seen[: hi - lo + 1] = False
-        for a in range(1, n + 1):
-            b_lo = max(1, -(-lo // a))
+        for a in range(1, min(n, math.isqrt(hi)) + 1):
+            b_lo = max(a, -(-lo // a))
             b_hi = min(n, hi // a)
             if b_lo > b_hi:
                 continue
             seen[a * b_lo - lo : a * b_hi - lo + 1 : a] = True
-        total += int(seen[: hi - lo + 1].sum())
+        total += int(np.count_nonzero(seen[: hi - lo + 1]))
         lo = hi + 1
     return total
 

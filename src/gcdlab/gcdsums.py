@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 _BLOCK = 2048
-_NODE_ELEMENTS = 1 << 17  # entries of one block of T0 node rows: 1 MB, cache-sized
+_ROW_ELEMENTS = 1 << 17  # entries of one block of rows (T0 nodes, kernel rows): 1 MB, cache-sized
 
 
 class Kernel(enum.Enum):
@@ -74,7 +74,12 @@ def kernel_matrix(support: np.ndarray, kind: Kernel) -> np.ndarray:
     """Dense kernel matrix restricted to the given index set."""
     s = np.asarray(support, dtype=np.int64)
     check_bytes(8 * len(s) ** 2, "kernel matrix")
-    return _kernel_block(s, s, kind)
+    # row blocks keep K the only len^2 array; each entry is computed as in one block
+    K = np.empty((len(s), len(s)))
+    rows = max(1, _ROW_ELEMENTS // max(1, len(s)))
+    for i0 in range(0, len(s), rows):
+        K[i0 : i0 + rows] = _kernel_block(s[i0 : i0 + rows], s, kind)
+    return K
 
 
 def _direct_form(support: np.ndarray, wvals: np.ndarray, kind: Kernel) -> float:
@@ -136,7 +141,7 @@ def _grouped_form(w: WeightVector, kind: Kernel, sieve: FactorSieve) -> float:
         blocks = [(wv / np.sqrt(supp), np.ones(1))]
     else:
         a, c = _t0_nodes(n)
-        step = max(1, _NODE_ELEMENTS // (n + 1))
+        step = max(1, _ROW_ELEMENTS // (n + 1))
         blocks = ((wv * np.exp(-np.outer(a[j : j + step], supp)), c[j : j + step])
                   for j in range(0, len(a), step))
     total = 0.0
@@ -201,10 +206,12 @@ def crossed_energy(w: WeightVector):
     """
     w.positive_l1()
     supp = w.support
-    check_bytes(8 * len(supp) ** 2, "crossed-energy gcd table")
-    n = w.limit
-    g = np.gcd.outer(supp, supp)
-    counts = (n * g) // np.maximum.outer(supp, supp)
+    # two support^2 tables coexist: the gcd table, turned into the counts in
+    # place, and the max table (or the float copy of the counts)
+    check_bytes(16 * len(supp) ** 2, "crossed-energy gcd and max tables")
+    counts = np.gcd.outer(supp, supp)
+    counts *= w.limit
+    counts //= np.maximum.outer(supp, supp)
     wv = w.values[supp]
     if w.is_integral:
         return int(np.einsum("i,ij,j->", wv, counts, wv))
@@ -221,8 +228,9 @@ def exact_minimize(
 
     Solved as min of w^T K w over the probability simplex (the ratio is scale
     invariant) by away-step Frank-Wolfe with exact line search, stopping when
-    the Frank-Wolfe duality gap drops below tol * current value.  Raises
-    ConvergenceError carrying the best iterate if the budget runs out.
+    the Frank-Wolfe duality gap drops below tol * current value on a freshly
+    computed K w.  Raises ConvergenceError carrying the best iterate if the
+    budget runs out.
     """
     if n < 1:
         raise InvalidArgumentError("need N >= 1")
@@ -231,35 +239,52 @@ def exact_minimize(
     K = kernel_matrix(np.arange(1, n + 1), kind)
     w = np.full(n, 1.0 / n)
     Kw = K @ w
+    tmp = np.empty(n)
+    # 0 on the active set {w > 0}, -inf elsewhere: the away vertex is argmax(Kw + off)
+    off = np.zeros(n)
     gap = np.inf
     for _ in range(max_iter):
-        grad = 2.0 * Kw
-        val = float(w @ Kw)
-        i_fw = int(np.argmin(grad))
-        gw = float(grad @ w)
-        gap = gw - float(grad[i_fw])
+        # the gradient is 2 Kw: argmin of Kw is the Frank-Wolfe vertex, and
+        # 2 (val - Kw[i]) is the duality gap exactly (scaling by 2 is exact)
+        val = w.dot(Kw).item()
+        i_fw = Kw.argmin()
+        gap = 2.0 * (val - Kw.item(i_fw))
         if gap <= tol * val:
-            break
-        active = np.nonzero(w > 0.0)[0]
-        i_aw = int(active[np.argmax(grad[active])])
-        away_gap = float(grad[i_aw]) - gw
+            # certify on a fresh K w: the running one has drifted over the updates
+            np.matmul(K, w, out=Kw)
+            val = w.dot(Kw).item()
+            i_fw = Kw.argmin()
+            gap = 2.0 * (val - Kw.item(i_fw))
+            if gap <= tol * val:
+                break
+        np.add(Kw, off, out=tmp)
+        i_aw = tmp.argmax()
+        away_gap = 2.0 * (Kw.item(i_aw) - val)
         if gap >= away_gap:
             step_max = 1.0
-            curv = float(K[i_fw, i_fw] - 2.0 * Kw[i_fw] + val)
+            curv = K.item(i_fw, i_fw) - 2.0 * Kw.item(i_fw) + val
             step = step_max if curv <= 0 else min(step_max, 0.5 * gap / curv)
             w *= 1.0 - step
             w[i_fw] += step
-            Kw = (1.0 - step) * Kw + step * K[i_fw]  # K is symmetric; a row is contiguous
+            if step == 1.0:  # full step: the active set is the one vertex
+                off.fill(-np.inf)
+            off[i_fw] = 0.0
+            Kw *= 1.0 - step
+            np.multiply(K[i_fw], step, out=tmp)  # K is symmetric; a row is contiguous
+            Kw += tmp
         else:
-            a = w[i_aw]
+            a = w.item(i_aw)
             step_max = a / (1.0 - a) if a < 1.0 else np.inf
-            curv = float(val - 2.0 * Kw[i_aw] + K[i_aw, i_aw])
+            curv = val - 2.0 * Kw.item(i_aw) + K.item(i_aw, i_aw)
             step = step_max if curv <= 0 else min(step_max, 0.5 * away_gap / curv)
             w *= 1.0 + step
             w[i_aw] -= step
             if w[i_aw] < 1e-17:  # drop step: clear the vertex exactly
                 w[i_aw] = 0.0
-            Kw = (1.0 + step) * Kw - step * K[i_aw]
+                off[i_aw] = -np.inf
+            Kw *= 1.0 + step
+            np.multiply(K[i_aw], step, out=tmp)
+            Kw -= tmp
     else:
         best = WeightVector(n, np.concatenate([[0.0], w]), label="optimal-qp(unconverged)")
         raise ConvergenceError(

@@ -6,6 +6,8 @@ trial division, literal quadruple loops, python sets.  Keep it that way.
 
 import math
 
+import numpy as np
+
 
 def trial_factorization(n: int) -> list[int]:
     out = []
@@ -99,3 +101,45 @@ def primitive_root_and_dlog(p: int) -> tuple[int, list[int]]:
         dlog[x] = t
         x = x * g % p
     return g, dlog
+
+
+def frank_wolfe_reference(n: int, kind: str, tol: float = 1e-10, max_iter: int = 500_000):
+    """Away-step Frank-Wolfe for min w^T K w on the simplex, one full gradient
+    and one active-set gather per step; returns (w on 1..n, n w^T K w)."""
+    m = np.arange(1, n + 1, dtype=np.int64)
+    g = np.gcd.outer(m, m).astype(np.float64)
+    mf = m.astype(np.float64)
+    K = g / np.sqrt(np.outer(mf, mf)) if kind == "t1" else g / np.add.outer(mf, mf)
+    w = np.full(n, 1.0 / n)
+    Kw = K @ w
+    for _ in range(max_iter):
+        grad = 2.0 * Kw
+        val = float(w @ Kw)
+        i_fw = int(np.argmin(grad))
+        gw = float(grad @ w)
+        gap = gw - float(grad[i_fw])
+        if gap <= tol * val:
+            break
+        active = np.nonzero(w > 0.0)[0]
+        i_aw = int(active[np.argmax(grad[active])])
+        away_gap = float(grad[i_aw]) - gw
+        if gap >= away_gap:
+            step_max = 1.0
+            curv = float(K[i_fw, i_fw] - 2.0 * Kw[i_fw] + val)
+            step = step_max if curv <= 0 else min(step_max, 0.5 * gap / curv)
+            w *= 1.0 - step
+            w[i_fw] += step
+            Kw = (1.0 - step) * Kw + step * K[i_fw]
+        else:
+            a = w[i_aw]
+            step_max = a / (1.0 - a) if a < 1.0 else np.inf
+            curv = float(val - 2.0 * Kw[i_aw] + K[i_aw, i_aw])
+            step = step_max if curv <= 0 else min(step_max, 0.5 * away_gap / curv)
+            w *= 1.0 + step
+            w[i_aw] -= step
+            if w[i_aw] < 1e-17:
+                w[i_aw] = 0.0
+            Kw = (1.0 + step) * Kw - step * K[i_aw]
+    else:
+        raise AssertionError("reference Frank-Wolfe did not converge")
+    return w, n * float(w @ K @ w)

@@ -83,6 +83,7 @@ def test_pair_guard_raises_before_allocating(sieve_big):
         lambda: exact_minimize(8193, Kernel.T1),  # an 8193 x 8193 kernel matrix
         lambda: kernel_matrix(np.arange(1, 8194), Kernel.T1),
         lambda: crossed_energy(all_ones(8193)),  # 8193 x 8193 gcd and count tables
+        lambda: crossed_energy(all_ones(5793)),  # first support whose two tables pass 2^29 bytes
         lambda: build_sieve(1 << 26),  # one int64 table of 2^26 + 1 entries
     ]
     for call in calls:
@@ -238,6 +239,17 @@ def test_multiplication_table_incremental_oracle():
     for n in range(1, 200):
         for a in range(1, n + 1):
             seen.add(a * n)
+        assert multiplication_table_count(n) == len(seen)
+
+
+@pytest.mark.parametrize("chunk, n_max", [(1 << 10, 200), (7, 40)])
+def test_multiplication_table_small_chunks(monkeypatch, chunk, n_max):
+    # many chunk boundaries at small N exercise the b >= a and a <= isqrt(hi)
+    # bounds of each chunk; checked against the incremental set oracle
+    monkeypatch.setattr(energy_module, "_CHUNK", chunk)
+    seen = set()
+    for n in range(1, n_max):
+        seen.update(a * n for a in range(1, n + 1))
         assert multiplication_table_count(n) == len(seen)
 
 

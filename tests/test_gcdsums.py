@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gcdlab.arith import build_sieve
+from gcdlab import gcdsums as gcdsums_module
 from gcdlab.errors import ConvergenceError, InvalidArgumentError
 from gcdlab.gcdsums import (
     Kernel,
@@ -21,7 +22,7 @@ from gcdlab.gcdsums import (
 )
 from gcdlab.weights import WeightVector, all_ones, indicator, omega_level_weights
 
-from oracles import crossed_four_loop, gcd_form_direct
+from oracles import crossed_four_loop, frank_wolfe_reference, gcd_form_direct
 
 
 def _random_weights(rng, n, density=0.5, real=True):
@@ -165,6 +166,35 @@ def test_exact_minimize_dominates_family(sieve_small):
         ones = normalized_ratio(all_ones(n), Kernel.T1).ratio
         assert val <= sweep + 1e-7
         assert val <= ones + 1e-7
+
+
+def _gap_certified(w: WeightVector, kind: Kernel, tol: float) -> bool:
+    """Frank-Wolfe gap <= tol * value, on a fresh kernel and a fresh K w."""
+    x = w.values[1:]
+    kx = kernel_matrix(np.arange(1, w.limit + 1), kind) @ x
+    val = float(x @ kx)
+    return 2.0 * (val - kx.min()) <= tol * val
+
+
+@pytest.mark.parametrize("kind", [Kernel.T0, Kernel.T1])
+def test_exact_minimize_matches_reference_loop(monkeypatch, kind):
+    # small row blocks (14 rows at N = 300, the last one ragged) exercise the
+    # blocked kernel_matrix against the reference's one-block kernel
+    monkeypatch.setattr(gcdsums_module, "_ROW_ELEMENTS", 1 << 12)
+    for n in (64, 300):
+        w, ratio = exact_minimize(n, kind, tol=1e-10)
+        ref_w, ref_ratio = frank_wolfe_reference(n, kind.value, tol=1e-10)
+        assert np.array_equal(w.values[1:], ref_w)
+        assert ratio == ref_ratio
+        assert _gap_certified(w, kind, 1e-10)
+
+
+@pytest.mark.parametrize("n, kind", [(64, Kernel.T0), (64, Kernel.T1), (128, Kernel.T1)])
+def test_exact_minimize_exit_certified_at_tight_tol(n, kind):
+    # at tol 1e-14 the running K w drifts past the tolerance: trusting it
+    # returned fresh gaps of 1.4e-14 to 2.0e-14 relative on these inputs
+    w, _ = exact_minimize(n, kind, tol=1e-14)
+    assert _gap_certified(w, kind, 1e-14)
 
 
 def test_exact_minimize_budget_error():
