@@ -6,15 +6,18 @@ infimum of the normalized ratio is a convex quadratic program over the
 probability simplex; ``exact_minimize`` solves it with an away-step
 conditional-gradient method and an exact line search.
 
-Every form value can be computed by two independent routes (a direct kernel
-accumulation and a divisor-grouped route through the identity
-gcd = sum of phi over common divisors); the two must agree to 1e-12 relative
-and the test suite enforces that.
+Every form value can be computed by two independent routes: a direct kernel
+accumulation, and a divisor-grouped route through the identity
+gcd = sum of phi over common divisors.  Grouped T1 is one multiples-sum
+transform; grouped T0 is one self-convolution of the cofactor row of each
+divisor, in FFT calls grouped by power-of-two length.  The two routes must
+agree to 1e-12 relative and the test suite enforces that.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -41,7 +44,7 @@ __all__ = [
 ]
 
 _BLOCK = 2048
-_ROW_ELEMENTS = 1 << 17  # entries of one block of rows (T0 nodes, kernel rows): 1 MB, cache-sized
+_ROW_ELEMENTS = 1 << 17  # entries of a row block (T0 convolutions, kernel rows): 1 MB, cache-sized
 
 
 class Kernel(enum.Enum):
@@ -70,15 +73,20 @@ def _kernel_block(si: np.ndarray, sj: np.ndarray, kind: Kernel) -> np.ndarray:
     return g / np.add.outer(si.astype(np.float64), sj.astype(np.float64))
 
 
-def kernel_matrix(support: np.ndarray, kind: Kernel) -> np.ndarray:
-    """Dense kernel matrix restricted to the given index set."""
-    s = np.asarray(support, dtype=np.int64)
-    check_bytes(8 * len(s) ** 2, "kernel matrix")
-    # row blocks keep K the only len^2 array; each entry is computed as in one block
-    K = np.empty((len(s), len(s)))
-    rows = max(1, _ROW_ELEMENTS // max(1, len(s)))
-    for i0 in range(0, len(s), rows):
-        K[i0 : i0 + rows] = _kernel_block(s[i0 : i0 + rows], s, kind)
+def kernel_matrix(n: int, kind: Kernel) -> np.ndarray:
+    """Dense kernel matrix K(m, m') for m, m' in [1, n]."""
+    check_bytes(8 * n * n, "kernel matrix")
+    # gcd by strided writes: d is written on the multiples of d, ascending, so
+    # the last write to an entry is its largest common divisor
+    K = np.ones((n, n))
+    for d in range(2, n + 1):
+        K[d - 1 :: d, d - 1 :: d] = d
+    # then divide in row blocks, by the same float operations as _kernel_block
+    m = np.arange(1, n + 1, dtype=np.float64)
+    rows = max(1, _ROW_ELEMENTS // max(1, n))
+    for i0 in range(0, n, rows):
+        mi = m[i0 : i0 + rows]
+        K[i0 : i0 + rows] /= np.sqrt(np.outer(mi, m)) if kind is Kernel.T1 else np.add.outer(mi, m)
     return K
 
 
@@ -115,42 +123,78 @@ def multiple_sums(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _t0_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scales a, weights c: sum of c exp(-a x) is 1/x to 1.3e-13 relative on [2, 2N].
+def _self_convolutions(u: np.ndarray, size: int, integral: bool) -> np.ndarray:
+    """Each row of u convolved with itself, by one rfft/irfft of length size >= 2 width - 1.
 
-    Trapezoid rule, step 0.3, on 1/x = integral of exp(t - x e^t) dt over
-    t in [ln(1e-17 / 2N), ln(ln 1e17 + 5)] (Trefethen-Weideman, SIAM Rev. 2014).
+    Entry j is the sum over i of u[i] u[j - i]; for integer rows it is rounded
+    to the nearest integer, which is exact while the FFT error stays below 1/2.
     """
-    lo, hi = math.log(1e-17 / (2 * n)), math.log(math.log(1e17) + 5)
-    a = np.exp(lo + 0.3 * np.arange(math.ceil((hi - lo) / 0.3) + 1))
-    return a, 0.3 * a
+    f = np.fft.rfft(u, size)
+    f *= f
+    conv = np.fft.irfft(f, size)[:, : 2 * u.shape[1] - 1]
+    return np.rint(conv, out=conv) if integral else conv
+
+
+def _t0_convolutions(w: WeightVector, phi: np.ndarray) -> float:
+    """T0 form as the sum over t of A(t) / t, A(t) = sum over d s = t of phi(d) (u_d * u_d)(s).
+
+    u_d(m') = w(d m') for m' <= floor(N/d), so A(t) gathers the pairs m + n = t
+    by their common divisors.  The d with h/2 < floor(N/d) <= h, for h a power
+    of two, share one FFT length 2h: about log2 N classes.  Rows are zero-padded
+    to width h, and an index d m' > N reads the zero sentinel w[N + 1].  For
+    integer weights A is exact below 2^53, so the only roundings are one per
+    A(t) / t and one in ``math.fsum``.
+    """
+    n = w.limit
+    # held at the d = 1 call, the largest: the sentinel copy of w and A, 24 bytes
+    # per m <= N (at most 12 per FFT entry), and the call itself, 28 bytes per
+    # FFT entry (the row, its rfft squared in place, the irfft, pocketfft's copy)
+    check_bytes(40 * 2 * (1 << (n - 1).bit_length()), "T0 convolution row and sums")
+    wz = np.zeros(n + 2)
+    wz[: n + 1] = w.values
+    acc = np.zeros(2 * n + 1)  # A(t) for t <= 2N
+    h, d_hi = 1, n
+    while d_hi >= 1:
+        d_lo = n // (h + 1) + 1
+        step = max(1, _ROW_ELEMENTS // (2 * h))
+        for d0 in range(d_lo, d_hi + 1, step):
+            d = np.arange(d0, min(d0 + step, d_hi + 1))
+            u = wz[np.minimum(np.outer(d, np.arange(1, h + 1)), n + 1)]
+            conv = _self_convolutions(u, 2 * h, w.is_integral)
+            conv *= phi[d, None]
+            # A[d s] += phi(d) conv[d, s] for d s <= 2N, looping over the shorter axis
+            if len(d) < 2 * h - 1:
+                for i, di in enumerate(d.tolist()):
+                    seg = acc[2 * di :: di][: 2 * h - 1]
+                    seg += conv[i, : len(seg)]
+            else:
+                for s in range(2, min(2 * h, 2 * n // d0) + 1):
+                    k = min(len(d), 2 * n // s - d0 + 1)
+                    acc[d0 * s : (d0 + k - 1) * s + 1 : s] += conv[:k, s - 2]
+        h, d_hi = 2 * h, min(d_hi, d_lo - 1)
+    q = acc[2:] / np.arange(2, 2 * n + 1)
+    return math.fsum(itertools.chain.from_iterable(
+        q[i : i + _ROW_ELEMENTS].tolist() for i in range(0, len(q), _ROW_ELEMENTS)))
 
 
 def _grouped_form(w: WeightVector, kind: Kernel, sieve: FactorSieve) -> float:
-    """Sum over rows u with coefficients c of c * sum_d phi(d) S_d(u)**2 (gcd = sum of phi).
+    """The form through gcd = sum of phi over common divisors.
 
-    T1 is one row, w / sqrt(m).  T0 has a row w exp(-a m) per node of ``_t0_nodes``;
-    every term is nonnegative, so it is within the nodes' 1.3e-13 of the exact form.
+    T1 is sum_d phi(d) S_d(w / sqrt(m))**2, one ``multiple_sums`` row.  T0 is a
+    Hankel form in the cofactors of each d, so one self-convolution per d
+    (``_t0_convolutions``); rounded for integer weights, it is exact up to the
+    final sum over 1/t.
     """
     n = w.limit
     if sieve.limit < n:
         raise InvalidArgumentError("sieve too small for this weight vector")
+    if kind is Kernel.T0:
+        return _t0_convolutions(w, sieve.phi)
     supp = w.support
-    wv = w.values[supp].astype(np.float64)
-    if kind is Kernel.T1:
-        blocks = [(wv / np.sqrt(supp), np.ones(1))]
-    else:
-        a, c = _t0_nodes(n)
-        step = max(1, _ROW_ELEMENTS // (n + 1))
-        blocks = ((wv * np.exp(-np.outer(a[j : j + step], supp)), c[j : j + step])
-                  for j in range(0, len(a), step))
-    total = 0.0
-    for rows, coef in blocks:
-        u = np.zeros((len(coef), n + 1))
-        u[:, supp] = rows
-        s = multiple_sums(u)[:, 1:]
-        total += float((s * s * sieve.phi[1 : n + 1]).sum(-1) @ coef)
-    return total
+    u = np.zeros(n + 1)
+    u[supp] = w.values[supp] / np.sqrt(supp)
+    s = multiple_sums(u)[1:]
+    return float((s * s * sieve.phi[1 : n + 1]).sum())
 
 
 def gcd_quadratic_form(
@@ -236,7 +280,7 @@ def exact_minimize(
         raise InvalidArgumentError("need N >= 1")
     if not 0 < tol < math.inf:
         raise InvalidArgumentError("tol must be finite and positive")
-    K = kernel_matrix(np.arange(1, n + 1), kind)
+    K = kernel_matrix(n, kind)
     w = np.full(n, 1.0 / n)
     Kw = K @ w
     tmp = np.empty(n)

@@ -103,6 +103,14 @@ def primitive_root_and_dlog(p: int) -> tuple[int, list[int]]:
     return g, dlog
 
 
+def gcd_kernel(n: int, kind: str) -> np.ndarray:
+    """Dense T0 ("t0") or T1 ("t1") kernel on [1, n] from one np.gcd.outer table."""
+    m = np.arange(1, n + 1, dtype=np.int64)
+    g = np.gcd.outer(m, m).astype(np.float64)
+    mf = m.astype(np.float64)
+    return g / np.sqrt(np.outer(mf, mf)) if kind == "t1" else g / np.add.outer(mf, mf)
+
+
 def frank_wolfe_reference(n: int, kind: str, tol: float = 1e-10, max_iter: int = 500_000):
     """Away-step Frank-Wolfe for min w^T K w on the simplex, one full gradient
     and one active-set gather per step; returns (w on 1..n, n w^T K w)."""

@@ -81,7 +81,7 @@ def test_pair_guard_raises_before_allocating(sieve_big):
         lambda: set_energy(range(1, 8194), range(1, 8194)),
         lambda: h_count(sieve_big, 1 << 20, 2, 3),  # 219759 * 262865 pairs
         lambda: exact_minimize(8193, Kernel.T1),  # an 8193 x 8193 kernel matrix
-        lambda: kernel_matrix(np.arange(1, 8194), Kernel.T1),
+        lambda: kernel_matrix(8193, Kernel.T1),
         lambda: crossed_energy(all_ones(8193)),  # 8193 x 8193 gcd and count tables
         lambda: crossed_energy(all_ones(5793)),  # first support whose two tables pass 2^29 bytes
         lambda: build_sieve(1 << 26),  # one int64 table of 2^26 + 1 entries
@@ -242,13 +242,16 @@ def test_multiplication_table_incremental_oracle():
         assert multiplication_table_count(n) == len(seen)
 
 
-@pytest.mark.parametrize("chunk, n_max", [(1 << 10, 200), (7, 40)])
+@pytest.mark.parametrize("chunk, n_max", [(1 << 10, 200), (7, 40), ("n", 60), ("n-1", 60)])
 def test_multiplication_table_small_chunks(monkeypatch, chunk, n_max):
-    # many chunk boundaries at small N exercise the b >= a and a <= isqrt(hi)
-    # bounds of each chunk; checked against the incremental set oracle
-    monkeypatch.setattr(energy_module, "_CHUNK", chunk)
+    # many chunk boundaries at small N exercise the b >= a, a <= isqrt(hi) and
+    # a >= lo / N bounds of each chunk; a chunk of N values puts every chunk's
+    # top on a multiple of N, and a chunk of N - 1 values puts the second
+    # chunk's bottom there; checked against the incremental set oracle
     seen = set()
     for n in range(1, n_max):
+        size = {"n": n, "n-1": max(1, n - 1)}.get(chunk, chunk)
+        monkeypatch.setattr(energy_module, "_CHUNK", size)
         seen.update(a * n for a in range(1, n + 1))
         assert multiplication_table_count(n) == len(seen)
 

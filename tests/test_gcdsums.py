@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gcdlab.arith import build_sieve
 from gcdlab import gcdsums as gcdsums_module
-from gcdlab.errors import ConvergenceError, InvalidArgumentError
+from gcdlab.errors import ConvergenceError, InvalidArgumentError, ResourceLimitError
 from gcdlab.gcdsums import (
     Kernel,
-    _t0_nodes,
+    _self_convolutions,
     crossed_energy,
     exact_minimize,
     gcd_quadratic_form,
@@ -22,7 +23,7 @@ from gcdlab.gcdsums import (
 )
 from gcdlab.weights import WeightVector, all_ones, indicator, omega_level_weights
 
-from oracles import crossed_four_loop, frank_wolfe_reference, gcd_form_direct
+from oracles import crossed_four_loop, frank_wolfe_reference, gcd_form_direct, gcd_kernel
 
 
 def _random_weights(rng, n, density=0.5, real=True):
@@ -100,9 +101,8 @@ def test_kernels_positive_semidefinite():
     # principal submatrices of a PSD matrix are PSD, so N = 300 covers all
     # smaller sizes; a couple of small direct checks are kept anyway
     for n in (7, 50, 300):
-        idx = np.arange(1, n + 1)
         for kind in (Kernel.T0, Kernel.T1):
-            eigs = np.linalg.eigvalsh(kernel_matrix(idx, kind))
+            eigs = np.linalg.eigvalsh(kernel_matrix(n, kind))
             assert eigs.min() >= -1e-9
 
 
@@ -171,7 +171,7 @@ def test_exact_minimize_dominates_family(sieve_small):
 def _gap_certified(w: WeightVector, kind: Kernel, tol: float) -> bool:
     """Frank-Wolfe gap <= tol * value, on a fresh kernel and a fresh K w."""
     x = w.values[1:]
-    kx = kernel_matrix(np.arange(1, w.limit + 1), kind) @ x
+    kx = kernel_matrix(w.limit, kind) @ x
     val = float(x @ kx)
     return 2.0 * (val - kx.min()) <= tol * val
 
@@ -235,18 +235,67 @@ def test_multiple_sums_matches_slices():
             assert s[0, d] == pytest.approx(u[0, d::d].sum(), rel=1e-12)
 
 
-def test_t0_nodes_reproduce_reciprocal():
-    # every integer x in [2, 2N], and a geometric grid up to 2^25 for N = 2^24
-    grids = {n: np.arange(2.0, 2 * n + 1) for n in (1, 2, 100, 5000)}
-    grids[1 << 24] = np.geomspace(2.0, 2.0**25, 3000)
-    for n, x in grids.items():
-        a, c = _t0_nodes(n)
-        assert np.abs(np.exp(-np.outer(x, a)) @ c * x - 1.0).max() < 2e-13
+@pytest.mark.parametrize("kind", [Kernel.T0, Kernel.T1])
+def test_kernel_matrix_equals_gcd_outer(kind):
+    for n in (1, 2, 7, 300, 1024):
+        assert np.array_equal(kernel_matrix(n, kind), gcd_kernel(n, kind.value))
+
+
+def test_self_convolutions_equal_integer_convolve():
+    rng = np.random.default_rng(29)
+    # widths on both sides of each power-of-two FFT length up to 2^12
+    widths = {1, 2} | {w for e in range(2, 12) for w in (2**e - 1, 2**e, 2**e + 1)}
+    for width in sorted(widths):
+        size = 1 << (2 * width - 2).bit_length()
+        u = (rng.random((3, width)) < 0.5).astype(np.int64)
+        conv = _self_convolutions(u.astype(np.float64), size, integral=True)
+        assert conv.shape == (3, 2 * width - 1)
+        for row, c in zip(u, conv):
+            assert np.array_equal(c, np.convolve(row, row))
+
+
+def _assert_t0_levels_match_direct(sieve, n, levels):
+    for k in levels:
+        w = omega_level_weights(sieve, n, k)
+        direct = gcd_quadratic_form(w, Kernel.T0)
+        grouped = gcd_quadratic_form(w, Kernel.T0, sieve, evaluator="grouped")
+        assert grouped == pytest.approx(direct, rel=1e-14)
+
+
+def test_t0_convolutions_match_direct(sieve_small):
+    _assert_t0_levels_match_direct(sieve_small, 2048, range(12))
+    _assert_t0_levels_match_direct(sieve_small, 8192, range(2, 5))
+
+
+def test_t0_convolutions_small_blocks(monkeypatch, sieve_small):
+    # 2^8 entries a call: every FFT length from 256 up takes one row a call,
+    # and each shorter length spans several calls, so both ways of adding a
+    # call into A(t) (by row and by s) meet call boundaries
+    monkeypatch.setattr(gcdsums_module, "_ROW_ELEMENTS", 1 << 8)
+    _assert_t0_levels_match_direct(sieve_small, 2048, range(12))
+    _assert_t0_levels_match_direct(sieve_small, 8192, range(2, 5))
+
+
+def test_t0_convolution_guard_raises_before_allocating():
+    # 2^22 + 1 takes FFT length 2^24: 40 bytes an entry pass the 2^29-byte budget
+    n = (1 << 22) + 1
+    w = WeightVector(n, np.zeros(n + 1, dtype=np.int8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"{40 << 24} bytes"):
+            gcdsums_module._t0_convolutions(w, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_t0_max_profile():
     sieve = build_sieve(10007)
     assert t0_max_profile(1, sieve) == pytest.approx(0.5)
+    # the exact rational ratio of level 2 at x = 10007, correctly rounded; the
+    # direct route gives the same float
+    assert t0_max_profile(10007, sieve) == 5.584557683753311
     # monotone in the endpoint: adding grid points can only raise the max
     assert t0_max_profile(64, sieve) >= t0_max_profile(32, sieve) - 1e-12
     # the same doubling grid, every level evaluated by the direct form
