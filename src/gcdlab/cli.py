@@ -159,7 +159,7 @@ def _cmd_gcdsum(args) -> None:
 def _cmd_energy(args) -> None:
     sieve = build_sieve(args.n)
     w = _parse_weights(args.weights, args.n, sieve)
-    row = _timed_row(energy_mod.energy_ratio, w, evaluator=args.evaluator)
+    row = _timed_row(energy_mod.energy_ratio, w, evaluator=args.evaluator, sieve=sieve)
     _dump_weights(args, w)
     _emit([row], _columns(energy_mod.EnergyReport), args, csv_headers={"n": "N"})
 
@@ -387,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sp.add_parser("energy", help="weighted multiplicative energy and ratio")
     p.add_argument("--n", "--N", dest="n", type=int, required=True)
     p.add_argument("--weights", default="ones")
-    p.add_argument("--evaluator", choices=("auto", "quadruple", "histogram", "parametrized"),
-                   default="auto")
+    p.add_argument("--evaluator", default="auto",
+                   choices=("auto", "quadruple", "histogram", "parametrized", "interval"))
     p.add_argument("--dump-weights", default=None)
     p.set_defaults(fn=_cmd_energy)
     _add_common(p)

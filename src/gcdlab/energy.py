@@ -8,10 +8,14 @@ evaluators are provided and must agree exactly on integer weights:
 * ``energy_histogram``  - sum of squared representation counts over products;
 * ``energy_parametrized`` - coprime-pair parametrization of the equation.
 
-For indicator weights of a fixed Omega-level a fourth exact route,
-``energy_level_exact``, reduces the coprime-pair sum to level-count lookups
-through Moebius inclusion-exclusion; it is what makes sweeps up to N ~ 2**20
-feasible and is cross-validated against the other three in the tests.
+Two exact routes close the coprime-pair sum for special weights and are
+cross-validated against the other three in the tests:
+
+* ``energy_interval`` - unit weights on a prefix [1, M], the usual energy
+  E(M), as one totient sum;
+* ``energy_level_exact`` - indicator weights of a fixed Omega-level, reduced
+  to level-count lookups through Moebius inclusion-exclusion; it is what
+  makes sweeps up to N ~ 2**20 feasible.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .arith import FactorSieve
+from .arith import FactorSieve, build_sieve
 from .errors import BYTE_BUDGET, InvalidArgumentError, ResourceLimitError, check_bytes
 from .weights import WeightVector, sweep_levels
 
@@ -31,6 +35,7 @@ __all__ = [
     "energy_quadruple",
     "energy_histogram",
     "energy_parametrized",
+    "energy_interval",
     "energy_level_exact",
     "energy_ratio",
     "minimize_energy_over_levels",
@@ -149,6 +154,34 @@ def energy_parametrized(w: WeightVector):
     return total
 
 
+def _unit_prefix(w: WeightVector) -> int | None:
+    """M when w is 1 on [1, M] and 0 above it, else None."""
+    m = int(np.count_nonzero(w.values))
+    return m if m and (w.values[1 : m + 1] == 1).all() else None
+
+
+def energy_interval(w: WeightVector, sieve: FactorSieve | None = None) -> int:
+    """E(M) of unit weights on [1, M]: M**2 + 2 sum_{m=2..M} phi(m) floor(M/m)**2.
+
+    The coprime-pair sum of ``energy_parametrized`` in closed form: on [1, M]
+    the inner sum of a coprime pair (d1, d2) is floor(M / max(d1, d2))**2, and
+    each m >= 2 is the larger entry of 2 phi(m) ordered coprime pairs.  The
+    sieve (built to M when not given) supplies phi.  Raises
+    InvalidArgumentError unless w is 1 on some [1, M] and 0 above it.
+    """
+    m = _unit_prefix(w)
+    if m is None:
+        raise InvalidArgumentError("interval evaluator needs weights 1 on [1, M] and 0 above M")
+    if sieve is None:
+        sieve = build_sieve(m)
+    elif m > sieve.limit:
+        raise InvalidArgumentError(f"prefix [1, {m}] exceeds sieve limit {sieve.limit}")
+    q = m // np.arange(2, m + 1)
+    # phi(m) floor(M/m)**2 <= M**2 / m, so every term and E <= M**2 (2 ln M + 1)
+    # stay below 2**63 for M <= 4*10**8, past the 2**26 that build_sieve admits
+    return m * m + 2 * int(sieve.phi[2 : m + 1] @ (q * q))
+
+
 def _pair_pieces(es: np.ndarray, n: int):
     """Pieces of the pairs (e, q) with e in es (sorted) and e*q <= n.
 
@@ -218,15 +251,27 @@ def energy_level_exact(sieve: FactorSieve, n: int, k: int):
     return int(total)
 
 
-def energy_ratio(w: WeightVector, evaluator: str = "auto") -> EnergyReport:
-    """N**2 * energy / l1(w)**4 with the evaluator recorded."""
+def energy_ratio(
+    w: WeightVector, evaluator: str = "auto", sieve: FactorSieve | None = None
+) -> EnergyReport:
+    """N**2 * energy / l1(w)**4 with the evaluator recorded.
+
+    "auto" takes the interval route for unit weights on a prefix [1, M], else
+    the histogram while its product table fits the byte budget, else the
+    parametrized route.  ``sieve``, when given, supplies the interval route's
+    phi table.
+    """
     l1 = w.positive_l1()
     if evaluator == "auto":
-        evaluator = "histogram" if 8 * len(w.support) ** 2 <= BYTE_BUDGET else "parametrized"
+        if _unit_prefix(w) is not None:
+            evaluator = "interval"
+        else:
+            evaluator = "histogram" if 8 * len(w.support) ** 2 <= BYTE_BUDGET else "parametrized"
     fn = {
         "quadruple": energy_quadruple,
         "histogram": energy_histogram,
         "parametrized": energy_parametrized,
+        "interval": lambda v: energy_interval(v, sieve),
     }.get(evaluator)
     if fn is None:
         raise InvalidArgumentError(f"unknown evaluator {evaluator!r}")

@@ -19,6 +19,7 @@ from gcdlab.arith import build_sieve, is_prime
 from gcdlab.characters import build_table, weil_moment_check
 from gcdlab.energy import (
     energy_histogram,
+    energy_interval,
     energy_level_exact,
     energy_parametrized,
     energy_quadruple,
@@ -87,6 +88,7 @@ def test_criterion_2_energy_oracle_equivalence():
             w = all_ones(n)
             a = energy_quadruple(w)
             assert a == energy_histogram(w) == energy_parametrized(w)
+            assert a == energy_interval(w, sieve)
             kmax = int(sieve.omega[1 : n + 1].max()) if n > 1 else 0
             for k in range(0, kmax + 1):
                 wk = omega_level_weights(sieve, n, k)

@@ -30,8 +30,8 @@ def test_constants_command():
 
 
 def test_energy_command():
-    out = run_cli("energy", "--n", "3", "--weights", "ones")
-    assert json.loads(out)["energy"] == 15.0
+    row = json.loads(run_cli("energy", "--n", "3", "--weights", "ones"))
+    assert (row["energy"], row["evaluator"]) == (15.0, "interval")
 
 
 def test_theta_command():
@@ -69,6 +69,11 @@ def test_indicator_file_weights(tmp_path):
     out = run_cli("energy", "--n", "6", "--weights", f"indicator-file:{path}")
     row = json.loads(out)
     assert row["energy"] == 15.0  # three primes: 9 + 6 semiprime repeats
+    assert row["evaluator"] == "histogram"
+    # a file listing 1..3 is unit weights on a prefix: E(3) = 15 by the interval route
+    path.write_text("1,1\n2,1\n3,1\n")
+    row = json.loads(run_cli("energy", "--n", "6", "--weights", f"indicator-file:{path}"))
+    assert (row["energy"], row["evaluator"]) == (15.0, "interval")
 
 
 def test_multable_scan():
@@ -288,6 +293,9 @@ BAD_INPUTS = [
     (["gcdsum", "--n", "100000000000"], 1, "ResourceLimitError"),
     (["energy", "--n", "100000000000"], 1, "ResourceLimitError"),
     (["moments", "--p", "101", "--n", "100000000000"], 1, "ResourceLimitError"),
+    # the interval route takes only unit weights on a prefix [1, M]
+    (["energy", "--n", "10", "--weights", "level:1", "--evaluator", "interval"], 1,
+     "InvalidArgumentError"),
 ]
 
 
@@ -343,7 +351,8 @@ _ARGV = st.one_of(
         kind=st.sampled_from(["t0", "t1"]), weights=_WEIGHTS,
         evaluator=st.sampled_from(["direct", "grouped"]))),
     st.tuples(st.just(["energy", "--n"]), _SIEVE_NS, _flags(
-        weights=_WEIGHTS, evaluator=st.sampled_from(["auto", "histogram", "parametrized"]))),
+        weights=_WEIGHTS,
+        evaluator=st.sampled_from(["auto", "histogram", "parametrized", "interval"]))),
     st.tuples(st.just(["multable"]), st.one_of(
         _INTS.map(lambda n: ["--n", n]),
         st.one_of(st.integers(-2, 10), st.integers(_POWERS_REFUSED, 64)).map(

@@ -9,6 +9,7 @@ from gcdlab.arith import FactorSieve, build_sieve
 from gcdlab.energy import (
     asym_energy,
     energy_histogram,
+    energy_interval,
     energy_level_exact,
     energy_parametrized,
     energy_quadruple,
@@ -21,7 +22,7 @@ from gcdlab.energy import (
 )
 from gcdlab.errors import BYTE_BUDGET, InvalidArgumentError, ResourceLimitError, check_bytes
 from gcdlab.gcdsums import Kernel, crossed_energy, exact_minimize, kernel_matrix
-from gcdlab.weights import WeightVector, all_ones, omega_level_weights
+from gcdlab.weights import WeightVector, all_ones, indicator, omega_level_weights
 
 from oracles import distinct_products, energy_four_loop
 
@@ -33,6 +34,8 @@ def test_energy_examples():
     assert energy_histogram(all_ones(3)) == 15
     assert energy_parametrized(all_ones(3)) == 15
     assert energy_parametrized(all_ones(2)) == 6
+    assert [energy_interval(all_ones(n)) for n in (1, 2, 3)] == [1, 6, 15]
+    assert energy_interval(all_ones(4000)) == 153245680
 
 
 def test_energy_matches_four_loop_oracle():
@@ -156,6 +159,37 @@ def test_energy_scale_invariance():
 def test_energy_ratio_examples():
     assert energy_ratio(all_ones(1)).ratio == 1.0
     assert energy_ratio(all_ones(2)).ratio == pytest.approx(4 * 6 / 16)
+
+
+def test_auto_picks_interval_for_unit_prefix_weights(sieve_small):
+    unit = [all_ones(50), indicator(range(1, 31), 50), all_ones(50).scaled(1.0)]
+    others = [
+        all_ones(50).scaled(2.0),
+        indicator([1, 2, 3, 5, 6], 50),  # a prefix with a hole
+        indicator(range(2, 31), 50),  # an interval that does not start at 1
+        omega_level_weights(sieve_small, 50, 2),
+    ]
+    for w, route in [(w, "interval") for w in unit] + [(w, "histogram") for w in others]:
+        rep, hist = energy_ratio(w), energy_ratio(w, "histogram")
+        assert rep.evaluator == route
+        assert (rep.energy, rep.ratio) == (hist.energy, hist.ratio)
+    for w in others:
+        with pytest.raises(InvalidArgumentError):
+            energy_ratio(w, "interval")
+    with pytest.raises(InvalidArgumentError):
+        energy_interval(all_ones(50), build_sieve(49))
+
+
+def test_energy_ratio_of_ones_allocates_no_product_table():
+    # the histogram's product table alone would be 8 * 4096**2 bytes = 128 MiB
+    tracemalloc.start()
+    try:
+        rep = energy_ratio(all_ones(4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.evaluator == "interval"
+    assert peak < 8 << 20
 
 
 def test_cauchy_schwarz_support_bound():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gcdlab import energy
 from gcdlab.arith import build_sieve
 from gcdlab.gcdsums import Kernel, gcd_quadratic_form
-from gcdlab.weights import WeightVector, omega_level_weights
+from gcdlab.weights import WeightVector, all_ones, omega_level_weights
 
 _N_MAX = 2000
 _SIEVE = build_sieve(_N_MAX)
@@ -41,6 +41,19 @@ def test_direct_equals_grouped(w, kind):
 @given(w=sparse_weights(n_max=120, integral=st.just(True), max_size=24))
 def test_energy_routes_agree(w):
     assert energy.energy_quadruple(w) == energy.energy_histogram(w) == energy.energy_parametrized(w)
+
+
+# unit weights on a prefix [1, m] inside a limit n >= m; m <= 200 keeps the
+# histogram and the parametrized loop fast
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(m=st.integers(1, 200), extra=st.integers(0, _N_MAX - 200))
+def test_interval_equals_histogram_and_parametrized(m, extra):
+    vals = np.zeros(m + extra + 1, dtype=np.int64)
+    vals[1 : m + 1] = 1
+    w = WeightVector(m + extra, vals)
+    e = energy.energy_interval(w, _SIEVE)
+    assert e == energy.energy_interval(all_ones(m)) == energy.energy_histogram(w)
+    assert e == energy.energy_parametrized(w)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
