@@ -1,10 +1,10 @@
 """Sieves and elementary arithmetic shared by every other module.
 
-The central object is :class:`FactorSieve`, a one-pass smallest-prime-factor
-sieve from which the prime-factor count table (with multiplicity), the Euler
-totient table and the Moebius table are derived.  All tables are plain numpy
-arrays indexed by n itself (index 0 is a filler), immutable by convention
-after construction, and safe for shared concurrent reads.
+The central object is :class:`FactorSieve`, whose prime-factor count table
+(with multiplicity), Euler totient table and Moebius table come from one
+pass of strided updates over the primes up to sqrt(limit).  All tables are
+plain numpy arrays indexed by n itself (index 0 is a filler), immutable by
+convention after construction, and safe for shared concurrent reads.
 """
 
 from __future__ import annotations
@@ -28,27 +28,23 @@ class FactorSieve:
     limit : int
         Largest n covered by the tables.
     omega : np.ndarray
-        omega[n] = number of prime factors of n counted with multiplicity
-        (omega[1] = 0).
-    spf : np.ndarray
-        spf[n] = smallest prime factor of n for n >= 2; spf[1] = 1.
+        int8; omega[n] = number of prime factors of n counted with
+        multiplicity (omega[1] = 0).
     phi : np.ndarray
-        phi[n] = Euler totient of n.
+        int32; phi[n] = Euler totient of n.
     """
 
     limit: int
     omega: np.ndarray
-    spf: np.ndarray
     phi: np.ndarray
     _mobius: np.ndarray = field(repr=False)
 
     @property
     def primes(self) -> np.ndarray:
-        n = np.arange(2, self.limit + 1)
-        return n[self.spf[2:] == n]
+        return np.nonzero(self.omega == 1)[0]
 
     def mobius(self) -> np.ndarray:
-        """Moebius table mu[0..limit] (mu[0] = 0)."""
+        """int8 Moebius table mu[0..limit] (mu[0] = 0)."""
         return self._mobius
 
 
@@ -59,38 +55,34 @@ def build_sieve(limit: int) -> FactorSieve:
     """
     if limit < 1:
         raise InvalidArgumentError("sieve limit must be >= 1")
-    check_bytes(8 * (limit + 1), "sieve")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            seg = spf[p * p :: p]
-            seg[seg == 0] = p
-    untouched = np.nonzero(spf[2:] == 0)[0] + 2  # primes > sqrt(limit) and small primes
-    spf[untouched] = untouched
-    spf[1] = 1
-
-    # strip one smallest prime factor p per pass from every n not yet reduced
-    # to 1; p still dividing the rest marks a square factor (mu = 0), and the
-    # last copy of p multiplies phi by (1 - 1/p)
-    omega = np.zeros(limit + 1, dtype=np.int64)
-    phi = np.arange(limit + 1, dtype=np.int64)
-    mu = np.ones(limit + 1, dtype=np.int64)
+    # int8 omega and mu, int32 phi and rest, and the quotient phi[2::2] // 2;
+    # the budget keeps limit below 2**31, so int32 holds every n
+    check_bytes(12 * (limit + 1), "sieve")
+    omega = np.zeros(limit + 1, dtype=np.int8)
+    mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    active = np.arange(2, limit + 1)
-    rest = active.copy()
-    while len(active):
-        omega[active] += 1
-        p = spf[rest]
-        rest //= p
-        again = rest % p == 0
-        mu[active[again]] = 0
-        last, p = active[~again], p[~again]
-        mu[last] = -mu[last]
-        phi[last] = phi[last] // p * (p - 1)
-        keep = rest > 1
-        active, rest = active[keep], rest[keep]
-
-    return FactorSieve(limit=limit, omega=omega, spf=spf, phi=phi, _mobius=mu)
+    phi = np.arange(limit + 1, dtype=np.int32)
+    # rest[n] = n with its prime factors <= sqrt(limit) divided out
+    rest = np.arange(limit + 1, dtype=np.int32)
+    rest[0] = 1
+    for p in range(2, math.isqrt(limit) + 1):
+        if omega[p]:  # a smaller prime divides p
+            continue
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        phi[p::p] -= phi[p::p] // p
+        q = p
+        while q <= limit:  # each power of p adds 1 to Omega at its multiples
+            omega[q::q] += 1
+            rest[q::q] //= p
+            q *= p
+    # what is left above 1 is the one prime factor above sqrt(limit)
+    big = rest > 1
+    omega += big
+    np.negative(mu, out=mu, where=big)
+    np.floor_divide(phi, rest, out=rest, where=big)
+    np.subtract(phi, rest, out=phi, where=big)
+    return FactorSieve(limit=limit, omega=omega, phi=phi, _mobius=mu)
 
 
 # Witness set proven sufficient for every n < 3.3e24, well past 2**63.

@@ -178,7 +178,7 @@ def energy_interval(w: WeightVector, sieve: FactorSieve | None = None) -> int:
         raise InvalidArgumentError(f"prefix [1, {m}] exceeds sieve limit {sieve.limit}")
     q = m // np.arange(2, m + 1)
     # phi(m) floor(M/m)**2 <= M**2 / m, so every term and E <= M**2 (2 ln M + 1)
-    # stay below 2**63 for M <= 4*10**8, past the 2**26 that build_sieve admits
+    # stay below 2**63 for M <= 4*10**8, past the 4.5*10**7 that build_sieve admits
     return m * m + 2 * int(sieve.phi[2 : m + 1] @ (q * q))
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .arith import FactorSieve
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_bytes
 
 __all__ = [
     "WeightVector",
@@ -101,8 +101,8 @@ def omega_tail_weights(sieve: FactorSieve, n_max: int) -> WeightVector:
 
 def kappa_to_k(n: int, kappa: float) -> int:
     """Nearest integer to kappa * log log n, ties rounded up."""
-    if n < 3:
-        raise InvalidArgumentError("need N >= 3")
+    if n < 3 or not math.isfinite(kappa):
+        raise InvalidArgumentError(f"need N >= 3 and a finite kappa, got N={n}, kappa={kappa}")
     return max(0, math.floor(kappa * math.log(math.log(n)) + 0.5))
 
 
@@ -136,9 +136,16 @@ def sweep_levels(
     return out
 
 
+def _zero_values(n_max: int) -> np.ndarray:
+    if n_max < 0:
+        raise InvalidArgumentError(f"need N >= 0, got {n_max}")
+    check_bytes(8 * (n_max + 1), "weight vector")
+    return np.zeros(n_max + 1, dtype=np.int64)
+
+
 def indicator(members: Iterable[int], n_max: int) -> WeightVector:
     """0/1 weights with support on the given set of integers <= n_max."""
-    vals = np.zeros(n_max + 1, dtype=np.int64)
+    vals = _zero_values(n_max)
     for m in members:
         if not 1 <= m <= n_max:
             raise InvalidArgumentError(f"indicator member {m} outside [1, {n_max}]")
@@ -147,6 +154,6 @@ def indicator(members: Iterable[int], n_max: int) -> WeightVector:
 
 
 def all_ones(n_max: int) -> WeightVector:
-    vals = np.ones(n_max + 1, dtype=np.int64)
-    vals[0] = 0
+    vals = _zero_values(n_max)
+    vals[1:] = 1
     return WeightVector(n_max, vals, label="ones")

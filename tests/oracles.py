@@ -26,10 +26,6 @@ def trial_omega(n: int) -> int:
     return len(trial_factorization(n))
 
 
-def trial_spf(n: int) -> int:
-    return trial_factorization(n)[0]
-
-
 def trial_phi(n: int) -> int:
     return sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
 

@@ -1,17 +1,46 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gcdlab import arith
 from gcdlab.arith import build_sieve, is_prime
-from gcdlab.errors import InvalidArgumentError
+from gcdlab.errors import BYTE_BUDGET, InvalidArgumentError, ResourceLimitError, check_bytes
 
-from oracles import trial_factorization, trial_mobius, trial_omega, trial_phi, trial_spf
+from oracles import trial_factorization, trial_mobius, trial_omega, trial_phi
 
 
 def test_build_sieve_rejects_zero():
     with pytest.raises(InvalidArgumentError):
         build_sieve(0)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sieve_guard_counts_its_peak(monkeypatch):
+    stated = []
+
+    def record(nbytes, what):
+        stated.append(nbytes)
+        check_bytes(nbytes, what)
+
+    monkeypatch.setattr(arith, "check_bytes", record)
+    assert _traced_peak(lambda: build_sieve(1 << 20)) <= stated[0] + (64 << 10)
+
+    def refused():
+        # the first limit refused: 12 (limit + 1) > BYTE_BUDGET
+        with pytest.raises(ResourceLimitError):
+            build_sieve(BYTE_BUDGET // 12)
+
+    assert _traced_peak(refused) < 1 << 20
 
 
 def test_sieve_limit_one():
@@ -22,16 +51,13 @@ def test_sieve_limit_one():
 def test_known_values():
     s = build_sieve(400)
     assert s.omega[12] == 3  # 12 = 2*2*3
-    assert s.omega[360] == 6 and s.spf[360] == 2 and s.phi[360] == 96
+    assert s.omega[360] == 6 and s.phi[360] == 96
 
 
 def test_sieve_matches_trial_division_exhaustive(sieve_small):
     s = sieve_small
     for n in range(2, 10_001):
         assert s.omega[n] == trial_omega(n)
-    # spot-check the other tables on a coarser grid
-    for n in range(2, 2000, 7):
-        assert s.spf[n] == trial_spf(n)
     for n in range(1, 300):
         assert s.phi[n] == trial_phi(n)
     mu = s.mobius()
@@ -42,15 +68,24 @@ def test_sieve_matches_trial_division_exhaustive(sieve_small):
     # the smallest sieves are prefixes of the checked one
     for limit in (1, 2):
         tiny = build_sieve(limit)
-        for table in ("omega", "spf", "phi"):
+        for table in ("omega", "phi"):
             assert getattr(tiny, table).tolist() == getattr(s, table)[: limit + 1].tolist()
         assert tiny.mobius().tolist() == mu[: limit + 1].tolist()
 
 
 def test_sieve_matches_trial_division_random(sieve_big):
+    s = sieve_big
+    mu = s.mobius()
+    # near 2^20: the three largest primes, 1021^2 for the largest prime
+    # <= 2^10, and products with a prime just above 2^10 or far above it;
+    # all but 1021^2 keep a prime factor above sqrt(2^20) for the last pass
+    fixed = [1048573, 1048571, 1048559, 1021 * 1021, 1013 * 1031, 9 * 113 * 1031, 2 * 524287]
     rng = np.random.default_rng(7)
-    for n in rng.integers(2, 10**6, size=300):
-        assert sieve_big.omega[n] == trial_omega(int(n))
+    for n in fixed + rng.integers(2, 10**6, size=300).tolist():
+        primes = trial_factorization(n)
+        assert s.omega[n] == len(primes)
+        assert s.phi[n] == n // math.prod(set(primes)) * math.prod(p - 1 for p in set(primes))
+        assert mu[n] == trial_mobius(n)
 
 
 def test_omega_additivity(sieve_big):
@@ -61,23 +96,6 @@ def test_omega_additivity(sieve_big):
         a = int(rng.integers(2, 1000))
         b = int(rng.integers(2, limit // a))
         assert s.omega[a * b] == s.omega[a] + s.omega[b]
-
-
-def test_omega_matches_spf_recurrence(sieve_small):
-    s = sieve_small
-    omega = [0] * (s.limit + 1)
-    for n in range(2, s.limit + 1):
-        omega[n] = omega[n // int(s.spf[n])] + 1
-    assert s.omega.tolist() == omega
-
-
-def test_spf_divides_and_is_prime(sieve_small):
-    s = sieve_small
-    primes = set(s.primes.tolist())
-    for n in range(2, 5000):
-        p = int(s.spf[n])
-        assert n % p == 0 and p in primes
-    assert all(int(s.phi[p]) == p - 1 for p in list(primes)[:100])
 
 
 def test_omega_detects_primes(sieve_small):

@@ -87,7 +87,7 @@ def test_pair_guard_raises_before_allocating(sieve_big):
         lambda: kernel_matrix(8193, Kernel.T1),
         lambda: crossed_energy(all_ones(8193)),  # 8193 x 8193 gcd and count tables
         lambda: crossed_energy(all_ones(5793)),  # first support whose two tables pass 2^29 bytes
-        lambda: build_sieve(1 << 26),  # one int64 table of 2^26 + 1 entries
+        lambda: build_sieve(1 << 26),  # 12 bytes per entry at its peak, 2^26 + 1 entries
     ]
     for call in calls:
         tracemalloc.start()
@@ -112,7 +112,7 @@ def test_level_count_guard_raises_before_allocating():
     n = 1 << 24
     omega = np.zeros(n + 1, dtype=np.int8)
     omega[1 << 7] = 7
-    sieve = FactorSieve(limit=n, omega=omega, spf=None, phi=None, _mobius=None)
+    sieve = FactorSieve(limit=n, omega=omega, phi=None, _mobius=None)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError):

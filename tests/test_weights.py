@@ -5,7 +5,7 @@ import pytest
 
 from gcdlab.characters import weighted_congruence_count
 from gcdlab.energy import energy_histogram, energy_ratio
-from gcdlab.errors import InvalidArgumentError
+from gcdlab.errors import InvalidArgumentError, ResourceLimitError
 from gcdlab.exponents import rate_function
 from gcdlab.gcdsums import Kernel, crossed_energy, gcd_quadratic_form
 from gcdlab.theta import moment_report
@@ -51,6 +51,9 @@ def test_kappa_to_k():
     assert kappa_to_k(n, kap) == 2
     with pytest.raises(InvalidArgumentError):
         kappa_to_k(2, 0.5)
+    for kap in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError):
+            kappa_to_k(100, kap)
 
 
 def test_l1_and_indicator(sieve_small):
@@ -60,6 +63,13 @@ def test_l1_and_indicator(sieve_small):
     assert w.l1() == 3 and w.support.tolist() == [3, 5, 9]
     with pytest.raises(InvalidArgumentError):
         indicator([11], 10)
+    assert all_ones(0).l1() == 0 and indicator([], 0).l1() == 0
+    for call in (lambda: all_ones(-1), lambda: indicator([], -1)):
+        with pytest.raises(InvalidArgumentError):
+            call()
+    # refused before the 8 TB table is asked for
+    with pytest.raises(ResourceLimitError):
+        all_ones(10**12)
 
 
 def test_zero_weights_rejected_by_every_form():
