@@ -213,6 +213,8 @@ def weil_moment_check(chi: Character, b_len: int, r: int) -> tuple[float, float]
     if b_len < 1 or r < 2:
         raise InvalidArgumentError("need B >= 1 and r >= 2")
     p = chi.p
+    # the int64 p x B index table and the complex values gathered through it
+    check_bytes(24 * p * b_len, "shifted-sum index table")
     vals = chi.values()
     us = np.arange(1, p + 1)
     idx = (us[:, None] + np.arange(1, b_len + 1)[None, :]) % p
@@ -227,6 +229,7 @@ def congruence_count(p: int, a1: int, a2: int, m: int, n: int) -> int:
     if not (1 <= a1 < p and 1 <= a2 < p):
         raise InvalidArgumentError("need 1 <= a1, a2 < p")
     c = a2 * pow(a1, -1, p) % p
+    check_bytes(32 * n, "congruence count arrays")  # four int64 arrays at the peak
     n2s = np.arange(m + 1, m + n + 1, dtype=np.int64)
     t = (c * n2s) % p
     counts = (m + n - t) // p - (m - t) // p
@@ -269,6 +272,8 @@ def lattice_count(p: int, a1: int, a2: int, n: int) -> int:
         raise InvalidArgumentError("need (a1 a2, p) = 1")
     c = a1 * pow(a2, -1, p) % p
     lim = math.isqrt(n)
+    # five int64 arrays and one bool mask at the peak
+    check_bytes(41 * (2 * lim + 1), "lattice count arrays")
     n1s = np.arange(-lim, lim + 1, dtype=np.int64)
     t = (c * n1s) % p
     b2 = np.sqrt(np.maximum(n - n1s.astype(np.float64) ** 2, 0.0)).astype(np.int64)

@@ -41,8 +41,8 @@ KAPPA_STAR_ENERGY = 1.0 / math.log(4.0)  # closed form; solves 1 + 2Q(k) - 4Q(k/
 
 def rate_function(x: float) -> float:
     """x log x - x + 1, extended by continuity to rate_function(0) = 1."""
-    if x < 0:
-        raise InvalidArgumentError("rate_function needs x >= 0")
+    if not 0 <= x < math.inf:
+        raise InvalidArgumentError("rate_function needs a finite x >= 0")
     if x == 0.0:
         return 1.0
     return x * math.log(x) - x + 1.0

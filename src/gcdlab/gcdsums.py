@@ -273,8 +273,9 @@ def exact_minimize(
     Solved as min of w^T K w over the probability simplex (the ratio is scale
     invariant) by away-step Frank-Wolfe with exact line search, stopping when
     the Frank-Wolfe duality gap drops below tol * current value on a freshly
-    computed K w.  Raises ConvergenceError carrying the best iterate if the
-    budget runs out.
+    computed K w.  K w is computed by einsum, never by BLAS, and the returned
+    value is the w^T K w of that certification.  Raises ConvergenceError
+    carrying the best iterate and its fresh value if the budget runs out.
     """
     if n < 1:
         raise InvalidArgumentError("need N >= 1")
@@ -282,7 +283,9 @@ def exact_minimize(
         raise InvalidArgumentError("tol must be finite and positive")
     K = kernel_matrix(n, kind)
     w = np.full(n, 1.0 / n)
-    Kw = K @ w
+    # not K @ w: a BLAS gemv wakes OpenBLAS's worker thread, which then spins
+    # for about 80 ms; einsum (optimize=False) never calls BLAS
+    Kw = np.einsum("ij,j->i", K, w)
     tmp = np.empty(n)
     # 0 on the active set {w > 0}, -inf elsewhere: the away vertex is argmax(Kw + off)
     off = np.zeros(n)
@@ -295,7 +298,7 @@ def exact_minimize(
         gap = 2.0 * (val - Kw.item(i_fw))
         if gap <= tol * val:
             # certify on a fresh K w: the running one has drifted over the updates
-            np.matmul(K, w, out=Kw)
+            np.einsum("ij,j->i", K, w, out=Kw)
             val = w.dot(Kw).item()
             i_fw = Kw.argmin()
             gap = 2.0 * (val - Kw.item(i_fw))
@@ -334,12 +337,12 @@ def exact_minimize(
         raise ConvergenceError(
             f"Frank-Wolfe gap {gap:.3e} after {max_iter} iterations",
             best=best,
-            value=n * float(w @ Kw),
+            value=n * w.dot(np.einsum("ij,j->i", K, w)).item(),
             gap=gap,
         )
     vals = np.concatenate([[0.0], w])
     wv = WeightVector(n, vals, label="optimal-qp")
-    return wv, n * float(w @ K @ w)
+    return wv, n * val
 
 
 def _level_ratio(sieve: FactorSieve, n: int, k: int, kind: Kernel) -> float:

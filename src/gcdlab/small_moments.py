@@ -9,6 +9,7 @@ turns the chain into a lower-bound device for the r-th moment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,8 @@ def char_moment(p: int, n: int, k: float, table: CharacterTable | None = None) -
     """(1/(p-1)) sum over nonprincipal chi of |S_chi(N)|^k."""
     if n >= p:
         raise InvalidArgumentError("need N < p")
-    if n < 1 or k <= 0:
-        raise InvalidArgumentError("need N >= 1 and k > 0")
+    if n < 1 or not 0 < k < math.inf:
+        raise InvalidArgumentError("need N >= 1 and a finite k > 0")
     if table is None:
         table = build_table(p)
     s = _nonprincipal_sums(table, n)

@@ -115,7 +115,7 @@ def frank_wolfe_reference(n: int, kind: str, tol: float = 1e-10, max_iter: int =
     mf = m.astype(np.float64)
     K = g / np.sqrt(np.outer(mf, mf)) if kind == "t1" else g / np.add.outer(mf, mf)
     w = np.full(n, 1.0 / n)
-    Kw = K @ w
+    Kw = np.einsum("ij,j->i", K, w)
     for _ in range(max_iter):
         grad = 2.0 * Kw
         val = float(w @ Kw)
@@ -146,4 +146,4 @@ def frank_wolfe_reference(n: int, kind: str, tol: float = 1e-10, max_iter: int =
             Kw = (1.0 + step) * Kw - step * K[i_aw]
     else:
         raise AssertionError("reference Frank-Wolfe did not converge")
-    return w, n * float(w @ K @ w)
+    return w, n * float(w @ np.einsum("ij,j->i", K, w))

@@ -6,6 +6,7 @@ import pytest
 
 from gcdlab import energy as energy_module
 from gcdlab.arith import FactorSieve, build_sieve
+from gcdlab.characters import build_table, congruence_count, lattice_count, weil_moment_check
 from gcdlab.energy import (
     asym_energy,
     energy_histogram,
@@ -79,6 +80,7 @@ def test_quadruple_guard():
 
 def test_pair_guard_raises_before_allocating(sieve_big):
     # 8193**2 > 2**26 pairs; the outer product alone would take 512 MiB
+    chi = build_table(10007).character(1)
     calls = [
         lambda: energy_histogram(all_ones(8193)),
         lambda: set_energy(range(1, 8194), range(1, 8194)),
@@ -88,6 +90,9 @@ def test_pair_guard_raises_before_allocating(sieve_big):
         lambda: crossed_energy(all_ones(8193)),  # 8193 x 8193 gcd and count tables
         lambda: crossed_energy(all_ones(5793)),  # first support whose two tables pass 2^29 bytes
         lambda: build_sieve(1 << 26),  # 12 bytes per entry at its peak, 2^26 + 1 entries
+        lambda: weil_moment_check(chi, 10**6, 2),  # a 10007 x 10^6 index table
+        lambda: congruence_count(10007, 3, 5, 0, 10**10),  # 10^10 residues
+        lambda: lattice_count(10007, 3, 5, 10**20),  # 2 * 10^10 + 1 abscissae
     ]
     for call in calls:
         tracemalloc.start()

@@ -30,8 +30,9 @@ def test_rate_function_anchors():
     assert abs(Q(0.48154) - 0.16656) < 1e-4
     assert abs(Q(2.0) - (2 * math.log(2) - 1)) < 1e-15
     assert Q(2.0) > 0.375
-    with pytest.raises(InvalidArgumentError):
-        Q(-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError):
+            Q(bad)
 
 
 def test_rate_function_shape():

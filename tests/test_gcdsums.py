@@ -189,6 +189,34 @@ def test_exact_minimize_matches_reference_loop(monkeypatch, kind):
         assert _gap_certified(w, kind, 1e-10)
 
 
+class _NoMatmulKernel(np.ndarray):
+    """A kernel matrix that refuses np.matmul and passes every other ufunc through."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            raise AssertionError("the QP called matmul on its kernel")
+
+        def base(xs):
+            return tuple(x.view(np.ndarray) if isinstance(x, _NoMatmulKernel) else x for x in xs)
+
+        if "out" in kwargs:
+            kwargs["out"] = base(kwargs["out"])
+        return getattr(ufunc, method)(*base(inputs), **kwargs)
+
+
+@pytest.mark.parametrize("kind", [Kernel.T0, Kernel.T1])
+def test_exact_minimize_never_calls_matmul(monkeypatch, kind):
+    # a BLAS gemv wakes OpenBLAS's worker thread, which then spins idle
+    real_kernel = gcdsums_module.kernel_matrix
+    monkeypatch.setattr(
+        gcdsums_module, "kernel_matrix", lambda n, k: real_kernel(n, k).view(_NoMatmulKernel)
+    )
+    n = 300
+    w, ratio = exact_minimize(n, kind)
+    x = w.values[1:]
+    assert ratio == pytest.approx(n * x @ real_kernel(n, kind) @ x, rel=1e-12)
+
+
 @pytest.mark.parametrize("n, kind", [(64, Kernel.T0), (64, Kernel.T1), (128, Kernel.T1)])
 def test_exact_minimize_exit_certified_at_tight_tol(n, kind):
     # at tol 1e-14 the running K w drifts past the tolerance: trusting it
@@ -201,7 +229,9 @@ def test_exact_minimize_budget_error():
     with pytest.raises(ConvergenceError) as exc:
         exact_minimize(64, Kernel.T1, tol=1e-14, max_iter=3)
     assert exc.value.best is not None
-    assert exc.value.value > 0
+    x = exc.value.best.values[1:]
+    # the value of the returned iterate, not of the drifted running K w
+    assert exc.value.value == pytest.approx(64 * x @ kernel_matrix(64, Kernel.T1) @ x, rel=1e-12)
 
 
 def test_level_sweep(sieve_small):

@@ -116,6 +116,9 @@ def test_holder_chain_takes_table():
 
 
 def test_holder_chain_validation():
+    for k in (math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError):
+            char_moment(10007, 100, k)
     with pytest.raises(InvalidArgumentError):
         holder_chain_check(101, 9, 1.2, all_ones(9))
     with pytest.raises(DomainError):
